@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -385,37 +384,6 @@ func (c *Client) DownloadReleaseDense(ctx context.Context, id string) (hcoc.Hist
 		return err
 	})
 	return rel, epsilon, err
-}
-
-// ImportRelease PUTs a release artifact into a daemon's cache/store
-// tiers — the cluster replication path: an artifact computed by one
-// backend is copied into its replicas so failover reads serve the
-// exact same bytes. algorithm and durationMS describe the original
-// computation ("" and 0 select the defaults). The returned bool
-// reports whether the daemon admitted the artifact (false = it already
-// held the key; importing is idempotent). No privacy budget is spent
-// server-side.
-func (c *Client) ImportRelease(ctx context.Context, id, hierarchy, algorithm string, durationMS float64, rel hcoc.SparseHistograms, epsilon float64) (bool, error) {
-	var buf bytes.Buffer
-	if err := hcoc.WriteReleaseSparse(&buf, rel, epsilon); err != nil {
-		return false, fmt.Errorf("client: encoding artifact: %w", err)
-	}
-	q := url.Values{}
-	q.Set("hierarchy", hierarchy)
-	if algorithm != "" {
-		q.Set("algorithm", algorithm)
-	}
-	if durationMS > 0 {
-		q.Set("duration_ms", strconv.FormatFloat(durationMS, 'g', -1, 64))
-	}
-	var out struct {
-		Release  string `json:"release"`
-		Imported bool   `json:"imported"`
-	}
-	err := c.attempt(ctx, func() error {
-		return c.once(ctx, http.MethodPut, "/v1/release/"+url.PathEscape(id)+"?"+q.Encode(), buf.Bytes(), &out, nil)
-	})
-	return out.Imported, err
 }
 
 // download streams a GET body into decode, through the same retry loop

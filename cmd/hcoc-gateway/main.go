@@ -1,47 +1,39 @@
 // Command hcoc-gateway is the sharded-serving front end: it exposes
-// the same /v1 surface as a single hcoc-serve daemon, but routes every
-// request across a fleet of them on a consistent-hash ring keyed by
-// hierarchy fingerprint.
+// the same /v1 surface as a single hcoc-serve daemon and forwards each
+// request to one backend of a fleet, chosen on a consistent-hash ring.
 //
-// Placement and durability: each hierarchy is owned by -replication
-// backends in a deterministic primary→replica order. Uploads fan out
-// to every owner; a synchronous release runs on the primary and its
-// artifact is replicated to the other owners (PUT /v1/release/{id}),
-// so when a backend dies mid-fleet, reads fail over down the replica
-// order and keep serving the exact same bytes. Cluster-wide listings
-// scatter-gather over the live backends and merge deduplicated
-// results.
-//
-// With -shared-store, the fleet instead mounts one shared object store
-// (hcoc-serve -store-backend=s3 on a common bucket): durability is the
-// store's job, so the gateway skips write-time replication and
-// anti-entropy byte copies entirely — every backend already reads the
-// same durable manifest, and a restarted or freshly joined node
-// warm-starts from it.
+// Durability: every backend mounts one shared object store (hcoc-serve
+// -store-backend=s3 on a common bucket). Artifacts, event logs and the
+// budget manifest live there, so any backend can answer any request,
+// and a restarted or freshly joined node serves everything the fleet
+// wrote without copying a byte. The gateway holds no data: it is a
+// ring-affinity proxy. A request goes to its key's ring owner —
+// hierarchy fingerprint for uploads, appends and releases, release id
+// for reads — so repeated work on one key finds warm caches, and fails
+// over to the next live backend in ring order when that owner is down.
 //
 // Health: every backend is probed at -probe-interval; -fail-threshold
 // consecutive failures (probes and forwarded requests share the
 // counter) eject a backend from preferred routing, and the first
-// success re-admits it. GET /v1/cluster shows the topology — ring
-// parameters, per-backend health, traffic counters, repair progress,
+// success re-admits it. A backend whose /healthz reports
+// shared_store=false is ejected by its first probe and takes no
+// traffic until a probe finds the store mounted. GET /v1/cluster shows the
+// topology — ring parameters, per-backend health and traffic counters,
 // and, with ?key=h-<fp>, a key's current failover route.
 //
 // Elasticity: membership is live. POST/DELETE /v1/cluster/nodes join
 // and drain backends at runtime, and SIGHUP re-reads -backends-file
 // and applies the delta; each change moves at most ~1/(N+1) of the key
-// space. A background anti-entropy sweeper (every -repair-interval)
-// diffs each backend's durable manifest against ring ownership and
-// re-replicates missing artifacts through the budget-neutral import
-// path, so a node that was down during a write — or one that just
-// joined cold — converges to its owned set without operator action.
-// POST /v1/cluster/repair runs one sweep synchronously.
+// space.
 //
 // Example:
 //
-//	hcoc-serve -addr :8081 & hcoc-serve -addr :8082 & hcoc-serve -addr :8083 &
+//	hcoc-s3stub -addr :9000 -buckets hcoc &
+//	for p in 8081 8082 8083; do
+//	    hcoc-serve -addr :$p -store-backend s3 -s3-endpoint http://localhost:9000 -s3-bucket hcoc &
+//	done
 //	hcoc-gateway -addr :8080 \
-//	    -backends http://localhost:8081,http://localhost:8082,http://localhost:8083 \
-//	    -replication 2
+//	    -backends http://localhost:8081,http://localhost:8082,http://localhost:8083
 //	curl -s localhost:8080/v1/cluster | jq .
 //
 // Clients speak to the gateway exactly as they would to a single
@@ -69,13 +61,9 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		backends     = flag.String("backends", "", "comma-separated hcoc-serve base URLs")
 		backendsFile = flag.String("backends-file", "", "file listing backend URLs (one per line, # comments); SIGHUP re-reads it and applies joins/leaves")
-		repl         = flag.Int("replication", 0, "backends owning each hierarchy (0 = default 2, clamped to the fleet size)")
 		vnodes       = flag.Int("virtual-nodes", 0, "ring points per backend (0 = default 128)")
 		interval     = flag.Duration("probe-interval", 0, "health-probe period (0 = default 2s)")
 		thresh       = flag.Int("fail-threshold", 0, "consecutive failures that eject a backend (0 = default 3)")
-		repairEvery  = flag.Duration("repair-interval", 0, "anti-entropy sweep period (0 = default 30s, negative disables the loop)")
-		repairConc   = flag.Int("repair-concurrency", 0, "parallel artifact copies per sweep (0 = default 4)")
-		sharedStore  = flag.Bool("shared-store", false, "declare that every backend mounts the same shared object store (hcoc-serve -store-backend=s3 on one bucket); skips write-time artifact replication and anti-entropy copies, which the shared store makes redundant")
 	)
 	flag.Parse()
 	urls, static, err := initialBackends(*backends, *backendsFile)
@@ -88,13 +76,9 @@ func main() {
 		backends:     urls,
 		static:       static,
 		backendsFile: *backendsFile,
-		repl:         *repl,
 		vnodes:       *vnodes,
 		interval:     *interval,
 		thresh:       *thresh,
-		repairEvery:  *repairEvery,
-		repairConc:   *repairConc,
-		sharedStore:  *sharedStore,
 	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "hcoc-gateway: %v\n", err)
@@ -108,13 +92,9 @@ type config struct {
 	backends     []string // initial membership (static ∪ file)
 	static       []string // -backends URLs; always members across reloads
 	backendsFile string
-	repl         int
 	vnodes       int
 	interval     time.Duration
 	thresh       int
-	repairEvery  time.Duration
-	repairConc   int
-	sharedStore  bool
 }
 
 // initialBackends resolves the starting membership from -backends
@@ -204,14 +184,10 @@ func parseBackends(s string) ([]string, error) {
 
 func run(cfg config) error {
 	gw, err := gateway.New(gateway.Options{
-		Backends:          cfg.backends,
-		Replication:       cfg.repl,
-		VirtualNodes:      cfg.vnodes,
-		ProbeInterval:     cfg.interval,
-		FailThreshold:     cfg.thresh,
-		RepairInterval:    cfg.repairEvery,
-		RepairConcurrency: cfg.repairConc,
-		SharedStore:       cfg.sharedStore,
+		Backends:      cfg.backends,
+		VirtualNodes:  cfg.vnodes,
+		ProbeInterval: cfg.interval,
+		FailThreshold: cfg.thresh,
 	})
 	if err != nil {
 		return err
@@ -232,7 +208,7 @@ func run(cfg config) error {
 
 	// SIGHUP re-reads -backends-file and applies the delta as runtime
 	// joins/leaves — the same code path as POST/DELETE /v1/cluster/nodes,
-	// so the movement bound and the post-change repair kick apply.
+	// so the movement bound applies.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)
@@ -250,8 +226,7 @@ func run(cfg config) error {
 
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Printf("hcoc-gateway: listening on %s over %d backends (replication=%d)\n",
-			cfg.addr, len(cfg.backends), gw.Cluster().Replication())
+		fmt.Printf("hcoc-gateway: listening on %s over %d backends\n", cfg.addr, len(cfg.backends))
 		errc <- srv.ListenAndServe()
 	}()
 

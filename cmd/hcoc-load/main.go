@@ -477,6 +477,10 @@ func run(ctx context.Context, cfg config, out io.Writer) (*summary, error) {
 		for _, n := range tree.Nodes() {
 			nodes = append(nodes, n.Path)
 		}
+		leaves := make([][]string, len(groups))
+		for i, g := range groups {
+			leaves[i] = g.Path
+		}
 
 		h, err := c.UploadHierarchy(ctx, "root", groups)
 		if err != nil {
@@ -487,6 +491,7 @@ func run(ctx context.Context, cfg config, out io.Writer) (*summary, error) {
 			seed:      seed,
 			hierarchy: h.ID,
 			nodes:     nodes,
+			leaves:    leaves,
 			hostile:   cfg.hostile && i == cfg.tenants-1,
 		}
 		role := ""
@@ -616,6 +621,7 @@ type tenantTarget struct {
 	release   string
 	release2  string // second warm release for cross-release operations
 	nodes     []string
+	leaves    [][]string // group paths of the uploaded tree, for delta appends
 	hostile   bool
 }
 
@@ -731,12 +737,13 @@ func (w *worker) issue(parent context.Context, op string, tt *tenantTarget, rng 
 			Seed:      rng.Int63(),
 		})
 	case "delta":
-		// Each append adds one fresh group under a synthetic branch —
-		// a unique path, so every event is a real mutation and every
-		// append a new immutable version of the tenant's hierarchy.
+		// Each append adds one group at a leaf of the uploaded tree (a
+		// path of the right depth), so every event is a real mutation
+		// and every append a new immutable version of the tenant's
+		// hierarchy.
 		_, err = w.c.AppendEvents(ctx, tt.hierarchy, []client.Event{
 			client.DeltaEvent([]client.EventGroup{{
-				Path: []string{"load", fmt.Sprintf("d%d", rng.Int63())},
+				Path: tt.leaves[rng.Intn(len(tt.leaves))],
 				Size: 1 + rng.Int63n(64),
 			}}, nil, nil),
 		}, "")

@@ -77,6 +77,44 @@ func TestLoadClosedLoop(t *testing.T) {
 	}
 }
 
+// TestLoadDelta drives the delta op: every append lands at a leaf of
+// the uploaded tree, so none is refused, and each advances the
+// hierarchy's head.
+func TestLoadDelta(t *testing.T) {
+	if testing.Short() {
+		t.Skip("load integration skipped in -short mode")
+	}
+	ts := newDaemon(t)
+	cfg := testConfig(ts.URL)
+	cfg.mix, _ = parseMix("query=1,delta=1")
+	sum, err := run(context.Background(), cfg, os.Stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.failed != 0 {
+		t.Fatalf("%d of %d operations failed: %v", sum.failed, sum.total, sum.errors)
+	}
+	appends := 0
+	if st := sum.byOp["delta"]; st != nil {
+		appends = len(st.latencies)
+	}
+	if appends == 0 {
+		t.Fatalf("delta never ran: %+v", sum.byOp)
+	}
+	hs, err := client.New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed, err := hs.Hierarchies(context.Background())
+	if err != nil || len(listed) != 1 {
+		t.Fatalf("hierarchies = %+v, %v", listed, err)
+	}
+	// Appends still in flight at the deadline apply but go unrecorded.
+	if got := listed[0].Version; got < int64(1+appends) || got > int64(1+appends+cfg.concurrency) {
+		t.Fatalf("head is version %d after %d recorded appends", got, appends)
+	}
+}
+
 // TestLoadOpenLoop drives the rate-paced loop and requires the pacing
 // to hold: an open loop at 50 req/s for a second issues about 50
 // operations, not thousands.

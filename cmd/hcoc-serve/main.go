@@ -41,8 +41,6 @@
 //	GET  /v1/release          list durable release artifacts
 //	GET  /v1/release/{id}     download a release artifact (zero-copy,
 //	                          strong ETag, byte ranges)
-//	PUT  /v1/release/{id}     import an artifact computed by another
-//	                          node (cluster replication; spends nothing)
 //	GET  /v1/jobs/{id}        poll an async release job
 //	GET  /v1/query/{node}     quantiles, k-th largest, top-coded, Gini
 //	POST /v1/query/batch      N node queries in one engine pass
@@ -68,8 +66,8 @@
 // logged: a malformed weights file cannot mask a failed store refresh
 // or vice versa. The full request/response contract is docs/openapi.yaml;
 // the Go SDK over it is the repository's client package. To shard this
-// surface across several daemons behind one front end, see
-// cmd/hcoc-gateway.
+// surface across several daemons on one shared s3 store behind one
+// front end, see cmd/hcoc-gateway.
 //
 // Example session:
 //
@@ -231,20 +229,6 @@ func splitPeers(s string) []string {
 	return out
 }
 
-// refreshSharedStore is the SIGHUP store step: re-sync a shared store
-// against its manifest so artifacts and budget spend written by peer
-// nodes become visible, then re-open the hierarchy event logs the
-// refresh may have brought in.
-func refreshSharedStore(st *store.Store, handler *serve.Server) error {
-	if err := st.Refresh(); err != nil {
-		return fmt.Errorf("store refresh: %w", err)
-	}
-	if err := handler.RefreshLogs(); err != nil {
-		return fmt.Errorf("event-log refresh: %w", err)
-	}
-	return nil
-}
-
 // reloadTenantWeights is the SIGHUP weights step: re-read the weights
 // file and install it, so a tenant's share can be adjusted without a
 // restart. Any failure leaves the running weights untouched.
@@ -266,7 +250,7 @@ func handleHUP(st *store.Store, handler *serve.Server, eng *engine.Engine, weigh
 	acted := false
 	if st != nil && st.Shared() {
 		acted = true
-		if err := refreshSharedStore(st, handler); err != nil {
+		if err := handler.RefreshShared(); err != nil {
 			logf("hcoc-serve: SIGHUP store refresh failed: %v", err)
 		} else {
 			logf("hcoc-serve: SIGHUP refreshed shared store (%d releases)", st.Len())

@@ -32,8 +32,6 @@ type ProbeFunc func(ctx context.Context, baseURL string) (instance string, err e
 
 // Defaults for Options fields left zero.
 const (
-	// DefaultReplication is how many backends own each hierarchy.
-	DefaultReplication = 2
 	// DefaultFailThreshold is the consecutive-failure count (probe and
 	// request failures combined) at which a backend is ejected.
 	DefaultFailThreshold = 3
@@ -49,9 +47,6 @@ type Options struct {
 	// Backends is the static membership: base URLs of the hcoc-serve
 	// nodes. Required, deduplicated, order-insensitive.
 	Backends []string
-	// Replication is the number of backends owning each key (R);
-	// 0 selects DefaultReplication. Clamped to the backend count.
-	Replication int
 	// VirtualNodes is the ring points per backend (0 selects
 	// DefaultVirtualNodes).
 	VirtualNodes int
@@ -74,6 +69,10 @@ type backend struct {
 	ejections uint64
 	lastProbe time.Time
 	lastErr   string
+	// private is set while the last probe failed with ErrNotShared.
+	// Such a backend is ejected at once, never routed to, and
+	// re-admitted only by a probe, never by a forwarded request.
+	private bool
 }
 
 // BackendStatus is a point-in-time snapshot of one backend for
@@ -106,7 +105,6 @@ type BackendStatus struct {
 // (or forwarded request).
 type Cluster struct {
 	ring   *Ring
-	repl   int // configured R; the effective factor clamps to membership
 	thresh int
 	period time.Duration
 	probe  ProbeFunc
@@ -129,16 +127,12 @@ func New(opts Options) (*Cluster, error) {
 	}
 	c := &Cluster{
 		ring:     NewRing(opts.VirtualNodes),
-		repl:     opts.Replication,
 		thresh:   opts.FailThreshold,
 		period:   opts.ProbeInterval,
 		probe:    opts.Probe,
 		backends: make(map[string]*backend),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
-	}
-	if c.repl <= 0 {
-		c.repl = DefaultReplication
 	}
 	if c.thresh <= 0 {
 		c.thresh = DefaultFailThreshold
@@ -182,9 +176,8 @@ func (c *Cluster) AddBackend(url string) (joined bool, err error) {
 }
 
 // RemoveBackend drains a backend from the ring at runtime: it stops
-// owning keys and stops being probed or routed to. The artifacts it
-// holds are not touched — the anti-entropy sweep re-replicates what
-// the surviving owners are missing. Removing the last backend is
+// owning keys and stops being probed or routed to. Its keys move to the
+// next backends on the ring, which read the same shared store. Removing the last backend is
 // refused (ErrLastBackend); removing an unknown one is
 // ErrUnknownBackend.
 func (c *Cluster) RemoveBackend(url string) error {
@@ -201,8 +194,14 @@ func (c *Cluster) RemoveBackend(url string) error {
 	return nil
 }
 
+// ErrNotShared is the probe failure of a backend whose /healthz says it
+// does not mount the fleet's shared store: its private state would
+// answer differently from its peers, so it must not take traffic.
+var ErrNotShared = errors.New("backend does not mount a shared store (healthz shared_store=false)")
+
 // httpProbe is the default ProbeFunc: GET {base}/healthz with a short
-// timeout, decoding the daemon's instance identity.
+// timeout, decoding the daemon's instance identity. A backend that
+// reports shared_store=false fails with ErrNotShared.
 func httpProbe(ctx context.Context, baseURL string) (string, error) {
 	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
@@ -219,14 +218,18 @@ func httpProbe(ctx context.Context, baseURL string) (string, error) {
 		return "", fmt.Errorf("healthz returned %d", resp.StatusCode)
 	}
 	var body struct {
-		Status   string `json:"status"`
-		Instance string `json:"instance"`
+		Status      string `json:"status"`
+		Instance    string `json:"instance"`
+		SharedStore bool   `json:"shared_store"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		return "", fmt.Errorf("decoding healthz: %w", err)
 	}
 	if body.Status != "ok" {
 		return "", fmt.Errorf("healthz status %q", body.Status)
+	}
+	if !body.SharedStore {
+		return body.Instance, ErrNotShared
 	}
 	return body.Instance, nil
 }
@@ -283,6 +286,7 @@ func (c *Cluster) ProbeNow(ctx context.Context) {
 			if b := c.backends[u]; b != nil {
 				b.instance = instance
 				b.lastProbe = now
+				b.private = false
 			}
 			c.mu.Unlock()
 			c.ReportSuccess(u)
@@ -292,12 +296,14 @@ func (c *Cluster) ProbeNow(ctx context.Context) {
 }
 
 // ReportSuccess records a successful probe or forwarded request:
-// failures reset and an ejected backend is re-admitted.
+// failures reset and an ejected backend is re-admitted — unless its
+// last probe found it without the shared store, which only a probe
+// can clear.
 func (c *Cluster) ReportSuccess(url string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	b := c.backends[url]
-	if b == nil {
+	if b == nil || b.private {
 		return
 	}
 	b.failures = 0
@@ -306,12 +312,14 @@ func (c *Cluster) ReportSuccess(url string) {
 }
 
 // ReportFailure records a failed probe or forwarded request; at the
-// failure threshold the backend is ejected (skipped by routing until
-// something succeeds against it again).
+// failure threshold the backend is ejected (routed to only after every
+// live backend, until something succeeds against it again).
 func (c *Cluster) ReportFailure(url string, err error) {
 	c.report(url, err, time.Time{})
 }
 
+// report books one failure; a probe's (probedAt set) ErrNotShared
+// ejects at once and marks the backend private.
 func (c *Cluster) report(url string, err error, probedAt time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -325,25 +333,12 @@ func (c *Cluster) report(url string, err error, probedAt time.Time) {
 	}
 	if !probedAt.IsZero() {
 		b.lastProbe = probedAt
+		b.private = errors.Is(err, ErrNotShared)
 	}
-	if b.healthy && b.failures >= c.thresh {
+	if b.healthy && (b.failures >= c.thresh || b.private) {
 		b.healthy = false
 		b.ejections++
 	}
-}
-
-// Replication is the effective replication factor R: the configured
-// value, clamped to the current membership. It follows runtime
-// join/leave — a 2-node cluster configured for R=3 reports 2 until a
-// third node joins.
-func (c *Cluster) Replication() int {
-	c.mu.RLock()
-	n := len(c.backends)
-	c.mu.RUnlock()
-	if c.repl > n {
-		return n
-	}
-	return c.repl
 }
 
 // VirtualNodes is the ring's per-backend point count.
@@ -352,8 +347,7 @@ func (c *Cluster) VirtualNodes() int { return c.ring.vnodes }
 // Backends lists every configured backend URL, sorted.
 func (c *Cluster) Backends() []string { return c.ring.Nodes() }
 
-// Live lists the currently healthy backends, sorted; the deterministic
-// scatter order for cluster-wide reads.
+// Live lists the currently healthy backends, sorted.
 func (c *Cluster) Live() []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -367,49 +361,31 @@ func (c *Cluster) Live() []string {
 	return out
 }
 
-// Owners returns the R ring owners of key in primary→replica order,
-// ignoring health. This is the write fan-out set: an upload targets
-// every owner so the data is already in place when a failover read
-// arrives.
-func (c *Cluster) Owners(key string) []string {
-	return c.ring.Replicas(key, c.repl)
-}
-
-// Route returns the failover order for key: the R owners with healthy
-// backends first (ring order preserved within each class) and ejected
-// ones kept at the tail as a last resort — an ejection may be stale,
-// and succeeding against an ejected backend is how the request path
-// re-admits it without waiting for a probe. When every configured
-// backend is down the typed ErrNoBackends is returned instead.
+// Route returns the failover order for key: every backend in ring
+// order from the key's primary, live ones first and ejected ones after
+// them as a last resort — an ejection may be stale, and succeeding
+// against an ejected backend is how the request path re-admits it
+// without waiting for a probe. A backend whose probe found it without
+// the shared store is left out. With no backend left the typed
+// ErrNoBackends is returned.
 func (c *Cluster) Route(key string) ([]string, error) {
-	owners := c.ring.Replicas(key, c.repl)
-	if len(owners) == 0 {
-		return nil, ErrNoBackends
-	}
+	ring := c.ring.Replicas(key, c.ring.Len())
 	c.mu.RLock()
-	anyLive := false
-	for _, b := range c.backends {
-		if b.healthy {
-			anyLive = true
-			break
-		}
-	}
-	if !anyLive {
-		c.mu.RUnlock()
-		return nil, ErrNoBackends
-	}
-	ordered := make([]string, 0, len(owners))
-	for _, u := range owners {
+	ordered := make([]string, 0, len(ring))
+	for _, u := range ring {
 		if b := c.backends[u]; b != nil && b.healthy {
 			ordered = append(ordered, u)
 		}
 	}
-	for _, u := range owners {
-		if b := c.backends[u]; b == nil || !b.healthy {
+	for _, u := range ring {
+		if b := c.backends[u]; b != nil && !b.healthy && !b.private {
 			ordered = append(ordered, u)
 		}
 	}
 	c.mu.RUnlock()
+	if len(ordered) == 0 {
+		return nil, ErrNoBackends
+	}
 	return ordered, nil
 }
 

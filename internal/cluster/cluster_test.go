@@ -12,13 +12,14 @@ import (
 
 	"hcoc/internal/engine"
 	"hcoc/internal/serve"
+	"hcoc/internal/store"
+	"hcoc/internal/store/s3stub"
 )
 
-func newCluster(t *testing.T, backends []string, repl, thresh int) *Cluster {
+func newCluster(t *testing.T, backends []string, thresh int) *Cluster {
 	t.Helper()
 	c, err := New(Options{
 		Backends:      backends,
-		Replication:   repl,
 		FailThreshold: thresh,
 		Probe: func(ctx context.Context, url string) (string, error) {
 			return "test-instance", nil
@@ -37,28 +38,21 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{Backends: []string{""}}); err == nil {
 		t.Fatal("empty backend URL accepted")
 	}
-	// Duplicates collapse; replication clamps to membership.
-	c, err := New(Options{Backends: []string{"u1", "u1", "u2"}, Replication: 9})
+	// Duplicates collapse.
+	c, err := New(Options{Backends: []string{"u1", "u1", "u2"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Backends(); len(got) != 2 {
 		t.Fatalf("backends = %v", got)
 	}
-	if c.Replication() != 2 {
-		t.Fatalf("replication = %d, want clamped to 2", c.Replication())
-	}
 }
 
 // TestAddRemoveBackend pins runtime membership: joins and leaves take
-// effect immediately, duplicates and unknowns answer distinctly, the
-// last backend cannot leave, and the effective replication factor
-// tracks membership through the churn.
+// effect immediately, duplicates and unknowns answer distinctly, and
+// the last backend cannot leave.
 func TestAddRemoveBackend(t *testing.T) {
-	c := newCluster(t, []string{"u1", "u2"}, 3, 1)
-	if c.Replication() != 2 {
-		t.Fatalf("replication = %d over 2 backends, want 2", c.Replication())
-	}
+	c := newCluster(t, []string{"u1", "u2"}, 1)
 
 	joined, err := c.AddBackend("u3")
 	if err != nil || !joined {
@@ -66,10 +60,6 @@ func TestAddRemoveBackend(t *testing.T) {
 	}
 	if got := c.Backends(); len(got) != 3 {
 		t.Fatalf("backends after join = %v", got)
-	}
-	// Membership caught up with the configured factor.
-	if c.Replication() != 3 {
-		t.Fatalf("replication = %d over 3 backends, want 3", c.Replication())
 	}
 	// A joining node starts healthy: it must be routable immediately,
 	// before the first probe tick.
@@ -93,9 +83,6 @@ func TestAddRemoveBackend(t *testing.T) {
 	if err := c.RemoveBackend("u2"); err != nil {
 		t.Fatal(err)
 	}
-	if c.Replication() != 1 {
-		t.Fatalf("replication = %d over 1 backend, want 1", c.Replication())
-	}
 	if err := c.RemoveBackend("u1"); !errors.Is(err, ErrLastBackend) {
 		t.Fatalf("removing the last backend = %v, want ErrLastBackend", err)
 	}
@@ -107,18 +94,18 @@ func TestAddRemoveBackend(t *testing.T) {
 // TestMembershipRoutesKeys: a join takes over part of the keyspace and
 // a leave hands it back — the ring the router consults is the live one.
 func TestMembershipRoutesKeys(t *testing.T) {
-	c := newCluster(t, []string{"u1", "u2", "u3"}, 1, 1)
+	c := newCluster(t, []string{"u1", "u2", "u3"}, 1)
 	before := make(map[string]string)
 	for i := 0; i < 200; i++ {
 		k := fmt.Sprintf("fp-%d", i)
-		before[k] = c.Owners(k)[0]
+		before[k] = primary(t, c, k)
 	}
 	if _, err := c.AddBackend("u4"); err != nil {
 		t.Fatal(err)
 	}
 	tookOver := 0
 	for k, prev := range before {
-		now := c.Owners(k)[0]
+		now := primary(t, c, k)
 		if now != prev {
 			if now != "u4" {
 				t.Fatalf("key %q moved %q -> %q, not to the joining node", k, prev, now)
@@ -133,66 +120,132 @@ func TestMembershipRoutesKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, prev := range before {
-		if now := c.Owners(k)[0]; now != prev {
+		if now := primary(t, c, k); now != prev {
 			t.Fatalf("key %q owned by %q after the node left, was %q", k, now, prev)
 		}
 	}
 }
 
-// TestRouteFailoverOrder: ejecting the primary reorders routing so the
-// live replica is tried first, with the ejected owner kept at the tail
-// as a last resort.
-func TestRouteFailoverOrder(t *testing.T) {
-	c := newCluster(t, []string{"u1", "u2", "u3"}, 2, 1)
-	const key = "fp-123"
-	owners := c.Owners(key)
-	if len(owners) != 2 {
-		t.Fatalf("owners = %v", owners)
-	}
+// primary is key's first choice while the whole fleet is live.
+func primary(t *testing.T, c *Cluster, key string) string {
+	t.Helper()
 	route, err := c.Route(key)
-	if err != nil || fmt.Sprint(route) != fmt.Sprint(owners) {
-		t.Fatalf("all-healthy route %v (err %v), want ring order %v", route, err, owners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return route[0]
+}
+
+// TestRouteFailoverOrder: a key's route is the whole ring in ring
+// order; ejecting the primary moves it behind every live backend, kept
+// at the tail as a last resort.
+func TestRouteFailoverOrder(t *testing.T) {
+	c := newCluster(t, []string{"u1", "u2", "u3"}, 1)
+	const key = "fp-123"
+	ring := c.ring.Replicas(key, 3)
+	route, err := c.Route(key)
+	if err != nil || fmt.Sprint(route) != fmt.Sprint(ring) {
+		t.Fatalf("all-healthy route %v (err %v), want ring order %v", route, err, ring)
 	}
 
-	c.ReportFailure(owners[0], errors.New("connection refused"))
+	c.ReportFailure(ring[0], errors.New("connection refused"))
 	route, err = c.Route(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if route[0] != owners[1] || route[1] != owners[0] {
-		t.Fatalf("route after ejecting primary = %v, want [%s %s]", route, owners[1], owners[0])
+	if want := []string{ring[1], ring[2], ring[0]}; fmt.Sprint(route) != fmt.Sprint(want) {
+		t.Fatalf("route after ejecting primary = %v, want %v", route, want)
 	}
 
 	// Re-admission via request-path success restores ring order.
-	c.ReportSuccess(owners[0])
+	c.ReportSuccess(ring[0])
 	route, _ = c.Route(key)
-	if fmt.Sprint(route) != fmt.Sprint(owners) {
-		t.Fatalf("route after re-admission = %v, want %v", route, owners)
+	if fmt.Sprint(route) != fmt.Sprint(ring) {
+		t.Fatalf("route after re-admission = %v, want %v", route, ring)
 	}
 }
 
-// TestRouteAllDown pins the typed all-backends-down error.
+// TestRouteAllDown: with every backend ejected the route still names
+// them all (an ejection may be stale); the typed all-backends-down
+// error is for a fleet with nothing left to try.
 func TestRouteAllDown(t *testing.T) {
-	c := newCluster(t, []string{"u1", "u2"}, 2, 1)
+	c := newCluster(t, []string{"u1", "u2"}, 1)
 	c.ReportFailure("u1", errors.New("down"))
 	c.ReportFailure("u2", errors.New("down"))
-	if _, err := c.Route("k"); !errors.Is(err, ErrNoBackends) {
-		t.Fatalf("err = %v, want ErrNoBackends", err)
-	}
 	if live := c.Live(); len(live) != 0 {
 		t.Fatalf("live = %v", live)
 	}
-	// One backend recovering reopens routing.
+	if route, err := c.Route("k"); err != nil || len(route) != 2 {
+		t.Fatalf("all-ejected route = %v (err %v), want both backends", route, err)
+	}
+	// One backend recovering puts it first.
 	c.ReportSuccess("u2")
-	if _, err := c.Route("k"); err != nil {
-		t.Fatalf("route after recovery: %v", err)
+	if route, err := c.Route("k"); err != nil || route[0] != "u2" {
+		t.Fatalf("route after recovery = %v (err %v)", route, err)
+	}
+}
+
+// TestPrivateBackendIsSticky: a probe that finds a backend without the
+// shared store ejects it at once and takes it out of every route. A
+// forwarded request's success does not re-admit it; a probe that finds
+// the store mounted does.
+func TestPrivateBackendIsSticky(t *testing.T) {
+	var mu sync.Mutex
+	shared := map[string]bool{"u1": true, "u2": false}
+	c, err := New(Options{
+		Backends:      []string{"u1", "u2"},
+		FailThreshold: 3,
+		Probe: func(ctx context.Context, url string) (string, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			if !shared[url] {
+				return "i", ErrNotShared
+			}
+			return "i", nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	c.ProbeNow(ctx)
+	if live := c.Live(); fmt.Sprint(live) != "[u1]" {
+		t.Fatalf("live after one probe = %v, want [u1]", live)
+	}
+	c.ReportSuccess("u2")
+	c.ReportFailure("u1", errors.New("down"))
+	c.ReportFailure("u1", errors.New("down"))
+	c.ReportFailure("u1", errors.New("down"))
+	for i := 0; i < 50; i++ {
+		route, err := c.Route(fmt.Sprintf("fp-%d", i))
+		if err != nil || fmt.Sprint(route) != "[u1]" {
+			t.Fatalf("route = %v (err %v), want only the ejected shared backend", route, err)
+		}
+	}
+	if st := c.States()[1]; st.Healthy || !strings.Contains(st.LastError, "shared_store=false") {
+		t.Fatalf("private backend state = %+v", st)
+	}
+	// With u1 gone too, nothing is left to route to.
+	if err := c.RemoveBackend("u1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Route("k"); !errors.Is(err, ErrNoBackends) {
+		t.Fatalf("route over a private-only fleet: %v, want ErrNoBackends", err)
+	}
+
+	mu.Lock()
+	shared["u2"] = true
+	mu.Unlock()
+	c.ProbeNow(ctx)
+	if route, err := c.Route("k"); err != nil || fmt.Sprint(route) != "[u2]" {
+		t.Fatalf("route after the store is mounted = %v (err %v)", route, err)
 	}
 }
 
 // TestFailureThreshold: ejection takes the configured number of
 // consecutive failures, and any success resets the count.
 func TestFailureThreshold(t *testing.T) {
-	c := newCluster(t, []string{"u1"}, 1, 3)
+	c := newCluster(t, []string{"u1"}, 3)
 	fail := func() { c.ReportFailure("u1", errors.New("x")) }
 	fail()
 	fail()
@@ -287,7 +340,7 @@ func TestStartStop(t *testing.T) {
 // TestStopWithoutStart: Stop on a never-started cluster returns
 // instead of waiting for a probe loop that does not exist.
 func TestStopWithoutStart(t *testing.T) {
-	c := newCluster(t, []string{"u1"}, 1, 1)
+	c := newCluster(t, []string{"u1"}, 1)
 	done := make(chan struct{})
 	go func() { c.Stop(); close(done) }()
 	select {
@@ -301,8 +354,19 @@ func TestStopWithoutStart(t *testing.T) {
 // handler: it must extract the engine's instance identity, and fail
 // against a dead socket.
 func TestHTTPProbe(t *testing.T) {
-	eng := engine.New(engine.Options{})
-	srv, err := serve.NewServer(eng, nil)
+	bucket := httptest.NewServer(s3stub.New("fleet"))
+	defer bucket.Close()
+	b, err := store.NewS3(store.S3Options{Endpoint: bucket.URL, Bucket: "fleet"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.OpenBackend(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	eng := engine.New(engine.Options{Store: st})
+	srv, err := serve.NewServer(eng, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,12 +385,23 @@ func TestHTTPProbe(t *testing.T) {
 	if _, err := httpProbe(context.Background(), ts.URL); err == nil {
 		t.Fatal("probe succeeded against a closed server")
 	}
+
+	// A backend with private state is refused by name.
+	private, err := serve.NewServer(engine.New(engine.Options{}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := httptest.NewServer(private)
+	defer pts.Close()
+	if _, err := httpProbe(context.Background(), pts.URL); !errors.Is(err, ErrNotShared) {
+		t.Fatalf("probe of a memory-only backend = %v, want ErrNotShared", err)
+	}
 }
 
 // TestReportUnknownBackend: reports for URLs outside the membership are
 // ignored rather than growing state.
 func TestReportUnknownBackend(t *testing.T) {
-	c := newCluster(t, []string{"u1"}, 1, 1)
+	c := newCluster(t, []string{"u1"}, 1)
 	c.ReportFailure("stranger", errors.New("x"))
 	c.ReportSuccess("stranger")
 	if got := c.States(); len(got) != 1 || !strings.HasPrefix(got[0].URL, "u1") {

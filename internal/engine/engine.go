@@ -64,9 +64,9 @@ type Options struct {
 	// computed by a ring peer, with the epsilon it was released under.
 	// A (nil, 0, nil) return is a clean miss (no peer holds the key);
 	// an error counts as a fetch failure. Either way the engine falls
-	// back to computing. A fetched release is admitted through the
-	// budget-neutral import path — the computing peer already drew and
-	// accounted the noise, so this node spends nothing.
+	// back to computing. A fetched release is stored as a plain,
+	// budget-neutral release entry — the computing peer already drew
+	// and accounted the noise, so this node spends nothing.
 	PeerFetch PeerFetchFunc
 }
 
@@ -232,11 +232,17 @@ type Engine struct {
 	epsSpent map[string]float64
 	accts    map[string]*privacy.Accountant
 
-	// epsReplayed is the spend replayed from the store manifest at
-	// construction: subtracting it from the live total gives the spend
-	// attributable to THIS process, which on a shared backend is what
-	// distinguishes a warm start from a recompute.
+	// epsReplayed is the spend booked from the store manifest — at
+	// construction, and on a shared store each time other nodes'
+	// charges are folded in: subtracting it from the live total gives
+	// the spend attributable to THIS process, which on a shared backend
+	// is what distinguishes a warm start from a recompute.
 	epsReplayed float64
+
+	// ledgerMu serializes check-and-record of charges on a shared store
+	// with an enforced bound, so each check starts from a ledger that
+	// holds every charge this node has made.
+	ledgerMu sync.Mutex
 
 	// tenantReqs is the per-tenant (hierarchy fingerprint) request
 	// ledger, guarded by mu and bounded by maxTenantCounters.
@@ -290,29 +296,53 @@ func New(opts Options) *Engine {
 	}
 	if e.store != nil {
 		for fp, spent := range e.store.EpsilonByHierarchy() {
-			if spent <= 0 {
-				continue
-			}
-			e.epsSpent[fp] = spent
-			e.epsReplayed += spent
-			if e.epsLimit > 0 {
-				a, err := privacy.NewAccountant(e.epsLimit)
-				if err != nil {
-					continue
-				}
-				if err := a.Spend("warm-start", spent); err != nil {
-					// Historical spend exceeds the (possibly lowered)
-					// bound: pin the ledger to zero remaining rather
-					// than failing the boot — the budget stays closed.
-					if rem := a.Remaining(); rem > 0 {
-						_ = a.Spend("warm-start", rem)
-					}
-				}
-				e.accts[fp] = a
+			if spent > 0 {
+				e.replayLocked(fp, spent)
 			}
 		}
 	}
 	return e
+}
+
+// replayLocked books spend that other processes drew — historical
+// charges on a warm start, or another node's charges on a shared
+// store — into fp's ledger. Caller holds mu (or owns e exclusively).
+func (e *Engine) replayLocked(fp string, eps float64) {
+	e.epsSpent[fp] += eps
+	e.epsReplayed += eps
+	if e.epsLimit <= 0 {
+		return
+	}
+	a := e.accts[fp]
+	if a == nil {
+		var err error
+		if a, err = privacy.NewAccountant(e.epsLimit); err != nil {
+			return
+		}
+		e.accts[fp] = a
+	}
+	if err := a.Spend("replay", eps); err != nil {
+		// Recorded spend exceeds the (possibly lowered) bound: pin the
+		// ledger to zero remaining rather than failing — the budget
+		// stays closed.
+		if rem := a.Remaining(); rem > 0 {
+			_ = a.Spend("replay", rem)
+		}
+	}
+}
+
+// foldSharedLocked raises fp's ledger to the shared store's figure, so
+// charges other nodes recorded count here too and the bound holds for
+// the fleet, not per node. It never lowers the ledger: spend this node
+// has charged but not yet recorded is not in the store. Caller holds mu.
+func (e *Engine) foldSharedLocked(fp string) {
+	if e.store == nil || !e.store.Shared() {
+		return
+	}
+	const slack = 1e-12
+	if extra := e.store.Spent(fp) - e.epsSpent[fp]; extra > slack {
+		e.replayLocked(fp, extra)
+	}
 }
 
 // newInstanceID mints the engine's random identity. 8 hex characters
@@ -331,63 +361,6 @@ func newInstanceID() string {
 // uses it to tell backends apart across restarts and address changes:
 // two probes seeing different IDs at one URL have seen a restart.
 func (e *Engine) ID() string { return e.id }
-
-// Admit injects a release computed elsewhere (another node of a
-// cluster) into this engine's tiers: the durable store when one is
-// configured, then the LRU. No privacy budget is charged — the noise
-// was drawn and accounted by the computing node, and a replicated
-// artifact is post-processing of that one draw. The store write is a
-// plain release entry, not a budget charge, so a warm start does not
-// mistake replication for spend. Admitting a key that is already
-// cached or stored is a no-op (reported by the bool), which makes
-// replication idempotent and safe to race.
-func (e *Engine) Admit(key, treeFP string, alg Algorithm, rel hcoc.SparseHistograms, epsilon float64, duration time.Duration) (bool, error) {
-	if key == "" || len(rel) == 0 {
-		return false, fmt.Errorf("engine: admit needs a key and a non-empty release")
-	}
-	if epsilon <= 0 {
-		return false, fmt.Errorf("engine: admit needs a positive epsilon, got %g", epsilon)
-	}
-	e.mu.Lock()
-	_, inCache := e.cache.get(key)
-	e.mu.Unlock()
-	if inCache || (e.store != nil && e.store.Has(key)) {
-		return false, nil
-	}
-	v := &cached{
-		release:   rel,
-		epsilon:   epsilon,
-		algorithm: alg,
-		duration:  duration,
-		cost:      rel.CostBytes(),
-	}
-	if e.store != nil {
-		m := store.Meta{
-			Key:        key,
-			Hierarchy:  treeFP,
-			Algorithm:  alg.String(),
-			Epsilon:    epsilon,
-			CostBytes:  v.cost,
-			DurationMS: float64(duration.Microseconds()) / 1000,
-			CreatedAt:  time.Now().UTC(),
-		}
-		err := e.store.PutRelease(m, rel)
-		e.mu.Lock()
-		if err != nil {
-			e.storeFails++
-		} else {
-			e.storePuts++
-		}
-		e.mu.Unlock()
-		if err != nil {
-			return false, fmt.Errorf("engine: persisting admitted release: %w", err)
-		}
-	}
-	e.mu.Lock()
-	e.evictions += uint64(e.cache.add(key, v))
-	e.mu.Unlock()
-	return true, nil
-}
 
 // Result describes how a release request was satisfied.
 type Result struct {
@@ -689,25 +662,16 @@ func (e *Engine) computeThrough(key, treeFP string, tree *hcoc.Tree, alg Algorit
 	// validation rejects it with the canonical error.
 	charged := opts.Epsilon > 0
 	if charged {
-		if err := e.charge(treeFP, opts.Epsilon); err != nil {
+		if err := e.reserve(key, treeFP, alg, opts.Epsilon); err != nil {
 			return nil, err
-		}
-		if e.store != nil {
-			ledger := store.Meta{Key: key, Hierarchy: treeFP, Algorithm: alg.String(),
-				Epsilon: opts.Epsilon, CreatedAt: time.Now().UTC()}
-			if err := e.store.AppendCharge(ledger); err != nil {
-				e.refund(treeFP, opts.Epsilon)
-				e.mu.Lock()
-				e.storeFails++
-				e.mu.Unlock()
-				return nil, fmt.Errorf("engine: recording budget charge: %w", err)
-			}
 		}
 	}
 	v, state, err := e.compute(tree, alg, opts, prev)
 	if err != nil {
 		if charged {
-			e.refund(treeFP, opts.Epsilon)
+			// The durable refund goes first: on a shared store a ledger
+			// lower than the store's would fold the refunded charge back
+			// in as another node's spend.
 			if e.store != nil {
 				ledger := store.Meta{Key: key, Hierarchy: treeFP, Algorithm: alg.String(),
 					Epsilon: opts.Epsilon, CreatedAt: time.Now().UTC()}
@@ -717,6 +681,7 @@ func (e *Engine) computeThrough(key, treeFP string, tree *hcoc.Tree, alg Algorit
 					e.mu.Unlock()
 				}
 			}
+			e.refund(treeFP, opts.Epsilon)
 		}
 		return nil, err
 	}
@@ -747,11 +712,47 @@ func (e *Engine) computeThrough(key, treeFP string, tree *hcoc.Tree, alg Algorit
 	return v, nil
 }
 
+// reserve charges epsilon for one computation and, with a store,
+// records the charge durably. On a shared store with an enforced bound
+// the check starts from the store's current ledger — re-read, so
+// charges other nodes made since count — and the check and record run
+// one at a time, so the bound holds for the fleet; only charges two
+// nodes make at the same instant can both pass.
+func (e *Engine) reserve(key, fp string, alg Algorithm, eps float64) error {
+	if e.store != nil && e.store.Shared() && e.epsLimit > 0 {
+		e.ledgerMu.Lock()
+		defer e.ledgerMu.Unlock()
+		if err := e.store.Refresh(); err != nil {
+			e.mu.Lock()
+			e.storeFails++
+			e.mu.Unlock()
+			return fmt.Errorf("engine: reading the shared budget ledger: %w", err)
+		}
+	}
+	if err := e.charge(fp, eps); err != nil {
+		return err
+	}
+	if e.store == nil {
+		return nil
+	}
+	ledger := store.Meta{Key: key, Hierarchy: fp, Algorithm: alg.String(),
+		Epsilon: eps, CreatedAt: time.Now().UTC()}
+	if err := e.store.AppendCharge(ledger); err != nil {
+		e.refund(fp, eps)
+		e.mu.Lock()
+		e.storeFails++
+		e.mu.Unlock()
+		return fmt.Errorf("engine: recording budget charge: %w", err)
+	}
+	return nil
+}
+
 // charge reserves epsilon for one computation against the hierarchy's
 // ledger. With no configured bound it only records the spend.
 func (e *Engine) charge(fp string, eps float64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.foldSharedLocked(fp)
 	if e.epsLimit > 0 {
 		a := e.accts[fp]
 		if a == nil {
@@ -789,6 +790,7 @@ func (e *Engine) BudgetRemaining(fp string) (float64, bool) {
 	if e.epsLimit <= 0 {
 		return 0, false
 	}
+	e.foldSharedLocked(fp)
 	if a := e.accts[fp]; a != nil {
 		return a.Remaining(), true
 	}
@@ -803,6 +805,7 @@ func (e *Engine) BudgetRemaining(fp string) (float64, bool) {
 func (e *Engine) BudgetStatus(fp string) (spent, remaining, limit float64, enforced bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.foldSharedLocked(fp)
 	spent = e.epsSpent[fp]
 	if e.epsLimit <= 0 {
 		return spent, 0, 0, false

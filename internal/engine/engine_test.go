@@ -3,12 +3,14 @@ package engine
 import (
 	"context"
 	"errors"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	"hcoc"
 	"hcoc/internal/store"
+	"hcoc/internal/store/s3stub"
 )
 
 // testTree builds a small two-level hierarchy, fast enough to release
@@ -760,6 +762,58 @@ func TestBudgetEnforcement(t *testing.T) {
 	}
 }
 
+// TestBudgetSharedAcrossNodes: two engines on one bucket enforce one
+// budget per hierarchy. b starts before a spends anything, so only the
+// shared ledger can tell it that a has spent the cap since.
+func TestBudgetSharedAcrossNodes(t *testing.T) {
+	bucket := httptest.NewServer(s3stub.New("fleet"))
+	t.Cleanup(bucket.Close)
+	node := func() *Engine {
+		b, err := store.NewS3(store.S3Options{Endpoint: bucket.URL, Bucket: "fleet"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := store.OpenBackend(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return New(Options{Store: st, MaxEpsilonPerHierarchy: 2})
+	}
+	a, b := node(), node()
+	tree := testTree(t)
+	fp := FingerprintTree(tree)
+	ctx := context.Background()
+
+	if _, err := b.Release(ctx, tree, fp, TopDown, testOpts(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Release(ctx, tree, fp, TopDown, testOpts(2)); err != nil {
+		t.Fatalf("a's release within the fleet budget: %v", err)
+	}
+	// The fleet has spent the cap of 2: a fresh release fails on both.
+	var be *BudgetError
+	for name, e := range map[string]*Engine{"a": a, "b": b} {
+		if _, err := e.Release(ctx, tree, fp, TopDown, testOpts(3)); !errors.As(err, &be) {
+			t.Fatalf("%s: release over the fleet budget got %v, want *BudgetError", name, err)
+		}
+		if be.Remaining > 1e-9 {
+			t.Fatalf("%s: remaining = %g, want 0", name, be.Remaining)
+		}
+		if spent, rem, _, _ := e.BudgetStatus(fp); spent != 2 || rem > 1e-9 {
+			t.Fatalf("%s: status spent=%g remaining=%g, want 2 and 0", name, spent, rem)
+		}
+	}
+	// Each node counts only its own computation as local spend.
+	if m := b.Metrics(); m.EpsilonSpent != 2 || m.EpsilonSpentLocal != 1 {
+		t.Fatalf("b metrics spent=%g local=%g, want 2 and 1", m.EpsilonSpent, m.EpsilonSpentLocal)
+	}
+	// Releases already computed stay free on either node.
+	if r, err := b.Release(ctx, tree, fp, TopDown, testOpts(2)); err != nil || !r.StoreHit {
+		t.Fatalf("b reading a's release: %v (storeHit=%v)", err, r.StoreHit)
+	}
+}
+
 // TestBudgetRefundOnFailure: a computation that fails before drawing
 // noise refunds its charge, in memory and in the durable ledger.
 func TestBudgetRefundOnFailure(t *testing.T) {
@@ -853,75 +907,6 @@ func TestInstanceID(t *testing.T) {
 	}
 	if a.ID() != a.ID() {
 		t.Fatal("id is not stable")
-	}
-}
-
-// TestAdmit covers the replication path: a release computed on one
-// engine is admitted into another, which then serves it from cache and
-// store without spending its own budget.
-func TestAdmit(t *testing.T) {
-	src := New(Options{})
-	tree := testTree(t)
-	ctx := context.Background()
-	res, err := src.Release(ctx, tree, "", TopDown, testOpts(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := FingerprintTree(tree)
-
-	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	dst := New(Options{Store: st, MaxEpsilonPerHierarchy: 0.25})
-
-	admitted, err := dst.Admit(res.Key, fp, TopDown, res.Release, 1, 42*time.Millisecond)
-	if err != nil || !admitted {
-		t.Fatalf("admit = %v, %v", admitted, err)
-	}
-	// Idempotent: the same key admits once.
-	if again, err := dst.Admit(res.Key, fp, TopDown, res.Release, 1, 0); err != nil || again {
-		t.Fatalf("re-admit = %v, %v", again, err)
-	}
-
-	// Served from the replica's tiers, bit-identical.
-	rel, eps, err := dst.Sparse(res.Key)
-	if err != nil || eps != 1 {
-		t.Fatalf("Sparse: eps %g, err %v", eps, err)
-	}
-	for path, h := range res.Release {
-		if !h.Equal(rel[path]) {
-			t.Fatalf("admitted release differs at %s", path)
-		}
-	}
-
-	// Admission spent nothing: the replica's budget is untouched even
-	// though the artifact's epsilon (1) exceeds its bound (0.25).
-	if spent, _, _, _ := dst.BudgetStatus(fp); spent != 0 {
-		t.Fatalf("admit spent epsilon %g", spent)
-	}
-
-	// The admitted artifact is durable: a cold engine over the same
-	// store serves it, and replays no phantom budget spend.
-	st2 := New(Options{Store: st, MaxEpsilonPerHierarchy: 0.25})
-	if _, _, err := st2.Sparse(res.Key); err != nil {
-		t.Fatalf("warm-start read of admitted release: %v", err)
-	}
-	if spent, _, _, _ := st2.BudgetStatus(fp); spent != 0 {
-		t.Fatalf("warm start replayed phantom spend %g from an admitted release", spent)
-	}
-
-	// Invalid admissions are refused.
-	if _, err := dst.Admit("", fp, TopDown, res.Release, 1, 0); err == nil {
-		t.Fatal("empty key admitted")
-	}
-	if _, err := dst.Admit("k", fp, TopDown, nil, 1, 0); err == nil {
-		t.Fatal("empty release admitted")
-	}
-	if _, err := dst.Admit("k", fp, TopDown, res.Release, 0, 0); err == nil {
-		t.Fatal("zero epsilon admitted")
 	}
 }
 

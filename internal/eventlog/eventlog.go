@@ -82,6 +82,9 @@ func (e *ConflictError) Error() string {
 		e.Log, e.Head.Seq, e.Head.Fingerprint, e.Given)
 }
 
+// errNoLog reports a log id with no first chunk in the store.
+var errNoLog = errors.New("no first chunk")
+
 // chunk is the on-disk shape of one appended event. The fingerprint is
 // recorded at append time so replay can verify the deterministic
 // rebuild instead of trusting it.
@@ -98,6 +101,15 @@ func fingerprint(t *hierarchy.Tree) string { return engine.FingerprintTree(t) }
 // chunkKey maps a log id and sequence number to its blob key.
 func chunkKey(id string, seq int64) string {
 	return fmt.Sprintf("events/%s/%012d.json", id, seq)
+}
+
+// replacementKey is where a torn chunk's replacement lives. Writers
+// never overwrite a chunk, so a torn one stays; the first writer to
+// create its replacement (with PutIfAbsent, one winner) decides what
+// that sequence number holds, and readers take the replacement over
+// the torn chunk.
+func replacementKey(id string, seq int64) string {
+	return fmt.Sprintf("events/%s/%012d.replacement.json", id, seq)
 }
 
 // logState is the materialized fold of an event prefix: the root name
@@ -400,59 +412,112 @@ func (l *Log) ChangedSince(from, to int64) (map[string]bool, bool) {
 	return out, true
 }
 
-// Append applies one event, persists it (chunk object first, manifest
-// entry second — a crash in between leaves a durable chunk that replay
-// still finds), and commits the new version. ifMatch, when non-empty,
-// must equal the head fingerprint or the append fails with
+// Append applies one event on top of the durable head and persists it
+// (chunk object first, manifest entry second — a crash in between
+// leaves a durable chunk that replay still finds). ifMatch, when
+// non-empty, must equal the head fingerprint or the append fails with
 // *ConflictError and no state changes.
+//
+// The chunk is created with PutIfAbsent, so when several writers share
+// one store each sequence number has exactly one winner. A writer whose
+// in-memory head is stale — it lost the create, or its If-Match names
+// a head it has not seen — catches up from the store and checks again:
+// a conditional append then conflicts against the true head, and an
+// unconditional one re-applies on top of it.
 func (l *Log) Append(ev Event, ifMatch string) (Version, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	head := l.versions[len(l.versions)-1]
-	if ifMatch != "" && ifMatch != head.Fingerprint {
-		return Version{}, &ConflictError{Log: l.id, Head: head, Given: ifMatch}
-	}
-	next, err := l.state.apply(ev)
-	if err != nil {
-		return Version{}, err
-	}
-	tree, err := next.build()
-	if err != nil {
-		return Version{}, fmt.Errorf("eventlog: log %s: %w", l.id, err)
-	}
-	v := Version{
-		Seq:         head.Seq + 1,
-		Fingerprint: engine.FingerprintTree(tree),
-		CreatedAt:   time.Now().UTC(),
-		Type:        ev.Type,
-		Nodes:       len(tree.Nodes()),
-		Groups:      next.totalGroups(),
-	}
-	if l.st != nil {
-		if err := l.persist(v, ev); err != nil {
+	for {
+		head := l.versions[len(l.versions)-1]
+		if ifMatch != "" && ifMatch != head.Fingerprint {
+			advanced, err := l.advance()
+			if err != nil {
+				return Version{}, err
+			}
+			if !advanced {
+				return Version{}, &ConflictError{Log: l.id, Head: head, Given: ifMatch}
+			}
+			continue
+		}
+		next, err := l.state.apply(ev)
+		if err != nil {
 			return Version{}, err
 		}
+		tree, err := next.build()
+		if err != nil {
+			return Version{}, fmt.Errorf("eventlog: log %s: %w", l.id, err)
+		}
+		v := Version{
+			Seq:         head.Seq + 1,
+			Fingerprint: engine.FingerprintTree(tree),
+			CreatedAt:   time.Now().UTC(),
+			Type:        ev.Type,
+			Nodes:       len(tree.Nodes()),
+			Groups:      next.totalGroups(),
+		}
+		if l.st != nil {
+			err := l.persist(v, ev)
+			if errors.Is(err, store.ErrBlobExists) {
+				advanced, err := l.advance()
+				if err != nil {
+					return Version{}, err
+				}
+				if !advanced {
+					return Version{}, fmt.Errorf("eventlog: log %s chunk %d exists but does not replay", l.id, v.Seq)
+				}
+				// A retried create whose first attempt landed finds its
+				// own chunk: same fingerprint, same timestamp.
+				if got := l.versions[v.Seq-1]; got.Fingerprint == v.Fingerprint && got.CreatedAt.Equal(v.CreatedAt) {
+					return got, nil
+				}
+				continue
+			}
+			if err != nil {
+				return Version{}, err
+			}
+		}
+		l.state = next
+		l.events = append(l.events, ev)
+		l.versions = append(l.versions, v)
+		l.head = tree
+		return v, nil
 	}
-	l.state = next
-	l.events = append(l.events, ev)
-	l.versions = append(l.versions, v)
-	l.head = tree
-	return v, nil
 }
 
-// persist writes the chunk object (atomic) and then its manifest entry.
+// persist creates the chunk object (atomic, absent-only) and then its
+// manifest entry. When the slot holds a torn chunk (one that does not
+// decode) it creates the chunk's replacement instead, under the same
+// one-winner rule. A lost create wraps store.ErrBlobExists.
 func (l *Log) persist(v Version, ev Event) error {
 	data, err := json.Marshal(chunk{Seq: v.Seq, Fingerprint: v.Fingerprint, CreatedAt: v.CreatedAt, Event: ev})
 	if err != nil {
 		return fmt.Errorf("eventlog: encoding event %d: %w", v.Seq, err)
 	}
-	if err := l.st.Blob().Put(chunkKey(l.id, v.Seq), append(data, '\n')); err != nil {
+	data = append(data, '\n')
+	b := l.st.Blob()
+	err = b.PutIfAbsent(chunkKey(l.id, v.Seq), data)
+	if errors.Is(err, store.ErrBlobExists) {
+		if _, gerr := getChunk(b, l.id, v.Seq); errors.Is(gerr, errTornChunk) {
+			err = b.PutIfAbsent(replacementKey(l.id, v.Seq), data)
+		}
+	}
+	if err != nil {
 		return fmt.Errorf("eventlog: writing event chunk %d: %w", v.Seq, err)
 	}
 	if err := l.st.AppendEvent(store.Meta{Hierarchy: l.id, Seq: v.Seq}); err != nil {
 		return fmt.Errorf("eventlog: indexing event chunk %d: %w", v.Seq, err)
 	}
 	return nil
+}
+
+// advance catches up from the store and reports whether the head
+// moved. Caller holds mu.
+func (l *Log) advance() (bool, error) {
+	before := len(l.versions)
+	if err := l.catchUp(); err != nil {
+		return false, err
+	}
+	return len(l.versions) > before, nil
 }
 
 // catchUp replays chunks past the current head — written by another
@@ -493,8 +558,8 @@ func (l *Log) catchUp() error {
 	}
 }
 
-// Refresh picks up chunks appended by other writers on a shared
-// backend.
+// Refresh catches the log up to its durable head: chunks appended by
+// other writers sharing the store are replayed into memory.
 func (l *Log) Refresh() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -505,33 +570,65 @@ func (l *Log) Refresh() error {
 // torn — the replay stop condition — unless a later chunk exists, which
 // is real mid-log corruption and an error.
 func readChunk(b store.BlobStore, id string, seq int64) (chunk, bool, error) {
-	f, _, err := b.Get(chunkKey(id, seq))
-	if errors.Is(err, store.ErrNoBlob) {
-		return chunk{}, false, checkNoSuccessor(b, id, seq)
+	c, err := getChunk(b, id, seq)
+	if errors.Is(err, store.ErrNoBlob) || errors.Is(err, errTornChunk) {
+		if _, serr := b.Stat(chunkKey(id, seq+1)); serr != nil {
+			return chunk{}, false, nil // the log ends here
+		}
+		if errors.Is(err, store.ErrNoBlob) {
+			// Writers create chunk N+1 only once chunk N exists, so
+			// another writer created this one since the first read.
+			c, err = getChunk(b, id, seq)
+		}
+		if err != nil {
+			return chunk{}, false, fmt.Errorf("eventlog: log %s chunk %d is missing or torn but chunk %d exists: %w", id, seq, seq+1, err)
+		}
 	}
 	if err != nil {
-		return chunk{}, false, fmt.Errorf("eventlog: reading chunk %d of %s: %w", seq, id, err)
+		return chunk{}, false, err
+	}
+	return c, true, nil
+}
+
+// errTornChunk reports a chunk object that does not decode.
+var errTornChunk = errors.New("torn chunk")
+
+// getChunk reads and decodes one chunk: store.ErrNoBlob when it is
+// absent, errTornChunk when it does not decode and has no replacement
+// that does.
+func getChunk(b store.BlobStore, id string, seq int64) (chunk, error) {
+	c, err := decodeChunk(b, chunkKey(id, seq), seq)
+	if errors.Is(err, errTornChunk) {
+		if r, rerr := decodeChunk(b, replacementKey(id, seq), seq); rerr == nil {
+			return r, nil
+		} else if !errors.Is(rerr, store.ErrNoBlob) && !errors.Is(rerr, errTornChunk) {
+			return chunk{}, rerr
+		}
+	}
+	return c, err
+}
+
+// decodeChunk reads and decodes one chunk object at key.
+func decodeChunk(b store.BlobStore, key string, seq int64) (chunk, error) {
+	f, _, err := b.Get(key)
+	if errors.Is(err, store.ErrNoBlob) {
+		return chunk{}, err
+	}
+	if err != nil {
+		return chunk{}, fmt.Errorf("eventlog: reading %s: %w", key, err)
 	}
 	defer f.Close()
 	var c chunk
 	if err := json.NewDecoder(f).Decode(&c); err != nil || c.Seq != seq || c.Fingerprint == "" {
-		// A torn tail chunk decodes as garbage; tolerate it only if the
-		// log truly ends here.
-		return chunk{}, false, checkNoSuccessor(b, id, seq)
+		return chunk{}, errTornChunk
 	}
-	return chunk{Seq: c.Seq, Fingerprint: c.Fingerprint, CreatedAt: c.CreatedAt, Event: c.Event}, true, nil
-}
-
-// checkNoSuccessor errors if a chunk exists after a missing/torn one.
-func checkNoSuccessor(b store.BlobStore, id string, seq int64) error {
-	if _, err := b.Stat(chunkKey(id, seq+1)); err == nil {
-		return fmt.Errorf("eventlog: log %s chunk %d is missing or torn but chunk %d exists", id, seq, seq+1)
-	}
-	return nil
+	return c, nil
 }
 
 // newLog builds a fresh log from a snapshot event, persisting chunk 1
-// when a store is attached.
+// when a store is attached. When chunk 1 already exists (the log was
+// created by another writer on the store) the error wraps
+// store.ErrBlobExists.
 func newLog(st *store.Store, ev Event) (*Log, error) {
 	base := &logState{}
 	next, err := base.apply(ev)
@@ -571,7 +668,7 @@ func openLog(st *store.Store, id string) (*Log, error) {
 		return nil, err
 	}
 	if !ok {
-		return nil, fmt.Errorf("eventlog: log %s has no first chunk", id)
+		return nil, fmt.Errorf("eventlog: log %s: %w", id, errNoLog)
 	}
 	if c.Event.Type != KindSnapshot {
 		return nil, fmt.Errorf("eventlog: log %s starts with a %q event, want snapshot", id, c.Event.Type)

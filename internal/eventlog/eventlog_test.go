@@ -347,7 +347,7 @@ func TestHistoricalVersions(t *testing.T) {
 // real disk store: restart replays to the same head; a chunk made
 // durable without its manifest entry (crash between the two writes) is
 // still recovered; a torn tail chunk is ignored and replay yields the
-// last durable version.
+// last durable version, and the next append replaces it.
 func TestPersistenceAndTornWrites(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
@@ -385,8 +385,8 @@ func TestPersistenceAndTornWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, ok := mgr2.Get(id)
-	if !ok {
+	l2, ok, err := mgr2.Get(id)
+	if err != nil || !ok {
 		t.Fatalf("restart lost log %s", id)
 	}
 	got := l2.Versions()
@@ -431,8 +431,8 @@ func TestPersistenceAndTornWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l3, ok := mgr3.Get(id)
-	if !ok {
+	l3, ok, err := mgr3.Get(id)
+	if err != nil || !ok {
 		t.Fatal("log lost after manifest truncation")
 	}
 	if h := l3.Head(); h.Seq != 4 || h.Fingerprint != head4.Fingerprint {
@@ -456,12 +456,45 @@ func TestPersistenceAndTornWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l4, ok := mgr4.Get(id)
-	if !ok {
+	l4, ok, err := mgr4.Get(id)
+	if err != nil || !ok {
 		t.Fatal("log lost after torn tail")
 	}
 	if h := l4.Head(); h.Seq != 4 || h.Fingerprint != head4.Fingerprint {
 		t.Fatalf("torn tail corrupted replay: head %+v, want %+v", h, head4)
+	}
+
+	// The torn chunk does not block the log: an append takes version 5
+	// (through the chunk's replacement), a second writer that replayed
+	// before it lands on version 6, and a fresh replay sees both.
+	mgr5, err := eventlog.OpenManager(st4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l5, ok, err := mgr5.Get(id)
+	if err != nil || !ok {
+		t.Fatal("second writer lost the log")
+	}
+	v5, err := l4.Append(eventlog.Event{Type: eventlog.KindDelta,
+		Add: []eventlog.Group{{Path: []string{"a", "z"}, Size: 2}}}, head4.Fingerprint)
+	if err != nil || v5.Seq != 5 {
+		t.Fatalf("append after a torn tail = %+v, %v", v5, err)
+	}
+	v6, err := l5.Append(eventlog.Event{Type: eventlog.KindDelta,
+		Add: []eventlog.Group{{Path: []string{"b", "w"}, Size: 4}}}, "")
+	if err != nil || v6.Seq != 6 {
+		t.Fatalf("stale writer's append = %+v, %v", v6, err)
+	}
+	mgr6, err := eventlog.OpenManager(st4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l6, ok, err := mgr6.Get(id)
+	if err != nil || !ok {
+		t.Fatal("log lost after the torn chunk's replacement")
+	}
+	if vs := l6.Versions(); len(vs) != 6 || vs[4].Fingerprint != v5.Fingerprint || vs[5].Fingerprint != v6.Fingerprint {
+		t.Fatalf("replay after the replacement = %+v, want versions 5 and 6 as appended", vs)
 	}
 }
 
@@ -491,8 +524,8 @@ func TestLegacyMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, ok := mgr.Get(fp)
-	if !ok {
+	l, ok, err := mgr.Get(fp)
+	if err != nil || !ok {
 		t.Fatalf("legacy hierarchy %s not migrated", fp)
 	}
 	if h := l.Head(); h.Seq != 1 || h.Fingerprint != fp {
@@ -512,7 +545,7 @@ func TestLegacyMigration(t *testing.T) {
 	if mgr2.Len() != 1 {
 		t.Fatalf("second open holds %d logs, want 1", mgr2.Len())
 	}
-	l2, _ := mgr2.Get(fp)
+	l2, _, _ := mgr2.Get(fp)
 	if l2.Head().Fingerprint != fp {
 		t.Fatalf("migration drifted: %+v", l2.Head())
 	}

@@ -1,6 +1,7 @@
 package eventlog
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -10,11 +11,13 @@ import (
 )
 
 // Manager owns every event log the server knows about. With a store it
-// discovers persisted logs through KindEvent manifest entries and
-// migrates legacy snapshot-only hierarchy objects (hierarchies/<fp>)
-// into single-snapshot logs, so pre-event-log deployments warm-start
-// into the versioned world unchanged. With a nil store everything is
-// in-memory. Safe for concurrent use.
+// discovers persisted logs through KindEvent manifest entries, opens a
+// log it has not seen from the store on first use (another writer on a
+// shared store may have created it), and migrates legacy snapshot-only
+// hierarchy objects (hierarchies/<fp>) into single-snapshot logs, so
+// pre-event-log deployments warm-start into the versioned world
+// unchanged. With a nil store everything is in-memory. Safe for
+// concurrent use.
 type Manager struct {
 	st *store.Store // nil: in-memory only
 
@@ -47,7 +50,7 @@ func OpenManager(st *store.Store) (*Manager, error) {
 		if _, ok := m.logs[rec.Fingerprint]; ok {
 			continue
 		}
-		l, err := newLog(st, snapshotEvent(rec.Root, rec.Groups))
+		l, _, err := m.establish(snapshotEvent(rec.Root, rec.Groups), rec.Fingerprint)
 		if err != nil {
 			return nil, fmt.Errorf("eventlog: migrating legacy hierarchy %s: %w", rec.Fingerprint, err)
 		}
@@ -57,6 +60,18 @@ func OpenManager(st *store.Store) (*Manager, error) {
 		m.logs[l.ID()] = l
 	}
 	return m, nil
+}
+
+// establish creates log id from its snapshot event, or — when another
+// writer on the store created it first — opens that one from the
+// store. Caller holds mu (or owns m exclusively).
+func (m *Manager) establish(ev Event, id string) (l *Log, created bool, err error) {
+	l, err = newLog(m.st, ev)
+	if errors.Is(err, store.ErrBlobExists) {
+		l, err = openLog(m.st, id)
+		return l, false, err
+	}
+	return l, err == nil, err
 }
 
 // snapshotEvent converts a root name and group records into a snapshot
@@ -91,20 +106,49 @@ func (m *Manager) Create(root string, groups []hcoc.Group) (l *Log, created bool
 	if l, ok := m.logs[id]; ok {
 		return l, false, nil
 	}
-	l, err = newLog(m.st, ev)
+	l, created, err = m.establish(ev, id)
 	if err != nil {
 		return nil, false, err
 	}
 	m.logs[l.ID()] = l
+	return l, created, nil
+}
+
+// Get returns a log by id; ok=false means no such log. With a store, a
+// log this manager has not seen is opened from the store when its
+// first chunk exists there; err reports a store that could not say.
+func (m *Manager) Get(id string) (l *Log, ok bool, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if l, ok := m.logs[id]; ok {
+		return l, true, nil
+	}
+	if m.st == nil || !isFingerprint(id) {
+		return nil, false, nil
+	}
+	l, err = openLog(m.st, id)
+	if errors.Is(err, errNoLog) {
+		return nil, false, nil
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	m.logs[id] = l
 	return l, true, nil
 }
 
-// Get returns a log by id.
-func (m *Manager) Get(id string) (*Log, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	l, ok := m.logs[id]
-	return l, ok
+// isFingerprint reports whether id has the shape of a log id (lowercase
+// hex), so arbitrary request input never becomes a store key.
+func isFingerprint(id string) bool {
+	if id == "" {
+		return false
+	}
+	for _, c := range id {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // Len reports how many logs the manager holds.

@@ -55,7 +55,7 @@ func TestSharedRefresh(t *testing.T) {
 	if err := reader.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	rl, ok := reader.Get(wl.ID())
+	rl, ok, err := reader.Get(wl.ID())
 	if !ok {
 		t.Fatalf("reader did not discover log %s", wl.ID())
 	}

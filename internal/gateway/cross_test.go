@@ -14,25 +14,30 @@ import (
 	"hcoc/internal/serve"
 )
 
-// countingBackend is an in-process backend whose artifact downloads
-// (GET /v1/release/{id}) are counted — the probe for the gateway's
-// scan-sharing contract.
+// countingBackend is an in-process backend over the fleet bucket whose
+// artifact downloads (GET /v1/release/{id}) and batch requests are
+// counted — the probe for the gateway's forward-whole contract.
 type countingBackend struct {
 	fixture   *backendFixture
 	downloads atomic.Int64
+	batches   atomic.Int64
 }
 
-func newCountingBackend(t *testing.T) *countingBackend {
+func newCountingBackend(t *testing.T, bucket string) *countingBackend {
 	t.Helper()
 	cb := &countingBackend{}
-	eng := engine.New(engine.Options{})
-	srv, err := serve.NewServer(eng, nil)
+	st := sharedStore(t, bucket)
+	eng := engine.New(engine.Options{Store: st})
+	srv, err := serve.NewServer(eng, st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/release/") {
+		switch {
+		case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/release/"):
 			cb.downloads.Add(1)
+		case r.URL.Path == "/v1/query/batch":
+			cb.batches.Add(1)
 		}
 		srv.ServeHTTP(w, r)
 	}))
@@ -46,15 +51,15 @@ func newCountingBackend(t *testing.T) *countingBackend {
 }
 
 // TestGatewayCrossReleaseBatch drives a multi-release batch through the
-// gateway: a 16-query batch spanning two releases triggers exactly two
-// artifact downloads (one per release, whichever ring owners hold
-// them), the cross-release answers match computing from the downloaded
-// artifacts, and a batch whose entries all read one release still
-// forwards whole without any gateway-side download.
+// gateway: a 16-query batch spanning two releases is forwarded whole —
+// one batch request to one backend, no artifact downloads at all —
+// and its answers match computing from the downloaded artifacts. The
+// backend reads a release it did not compute from the shared store.
 func TestGatewayCrossReleaseBatch(t *testing.T) {
 	ctx := context.Background()
-	cbs := []*countingBackend{newCountingBackend(t), newCountingBackend(t)}
-	_, c, _ := newGateway(t, 1, 1, cbs[0].fixture, cbs[1].fixture)
+	bucket := newBucket(t)
+	cbs := []*countingBackend{newCountingBackend(t, bucket), newCountingBackend(t, bucket)}
+	_, c, _ := newGateway(t, 1, cbs[0].fixture, cbs[1].fixture)
 
 	h, err := c.UploadHierarchy(ctx, "US", testGroups())
 	if err != nil {
@@ -70,9 +75,10 @@ func TestGatewayCrossReleaseBatch(t *testing.T) {
 	}
 
 	downloads := func() int64 { return cbs[0].downloads.Load() + cbs[1].downloads.Load() }
-	base := downloads()
+	batches := func() int64 { return cbs[0].batches.Load() + cbs[1].batches.Load() }
+	base, baseBatches := downloads(), batches()
 
-	// 16 queries over 2 releases: exactly 2 downloads, all answered.
+	// 16 queries over 2 releases: one forwarded batch, no downloads.
 	queries := make([]client.NodeQuery, 16)
 	nodes := []string{"US", "US/CA", "US/WA", "US/CA"}
 	ops := []string{"emd", "delta", "series", "compare"}
@@ -83,8 +89,11 @@ func TestGatewayCrossReleaseBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := downloads() - base; got != 2 {
-		t.Fatalf("cross batch made %d artifact downloads, want 2", got)
+	if got := downloads() - base; got != 0 {
+		t.Fatalf("cross batch made %d artifact downloads, want 0", got)
+	}
+	if got := batches() - baseBatches; got != 1 {
+		t.Fatalf("cross batch reached backends %d times, want 1 (forwarded whole)", got)
 	}
 	for i, res := range results {
 		if res.Error != "" {
@@ -122,24 +131,8 @@ func TestGatewayCrossReleaseBatch(t *testing.T) {
 		t.Fatalf("compare = %+v", compare)
 	}
 
-	// Extended entries confined to one release forward whole: zero
-	// gateway-side downloads (the 2 just above were ours).
-	base = downloads()
-	oneRel, err := c.BatchQuery(ctx, rels[0], []client.NodeQuery{
-		{Op: "stats", Node: "US", Quantiles: []float64{0.5}},
-		{Op: "stats", Releases: []string{rels[0]}, Node: "US/CA"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oneRel[0].Error != "" || oneRel[1].Error != "" {
-		t.Fatalf("single-release extended batch: %+v", oneRel)
-	}
-	if got := downloads() - base; got != 0 {
-		t.Fatalf("single-release batch made %d gateway downloads, want 0 (forwarded whole)", got)
-	}
-
-	// A release no backend holds fails its queries, not the batch.
+	// A release the store does not hold fails its queries, not the
+	// batch.
 	mixed, err := c.BatchQuery(ctx, "", []client.NodeQuery{
 		{Op: "emd", Releases: []string{rels[0], "r-nope"}, Node: "US"},
 		{Op: "emd", Releases: rels, Node: "US"},

@@ -9,18 +9,19 @@ import (
 	"hcoc/internal/engine"
 )
 
-// TestGatewayEventsFanout: a delta append through the gateway fans out
-// to every ring owner so all replica logs advance to the same head;
-// the version listing and version-pinned releases route through the
-// same replica order; a stale If-Match is a terminal 409 surfaced as
-// the typed conflict.
-func TestGatewayEventsFanout(t *testing.T) {
+// TestGatewayEventsForward: a delta append through the gateway lands
+// once, on one backend, in the shared store, so every backend reports
+// the same head; the version listing and version-pinned releases route
+// the same way; a stale If-Match is a terminal 409 surfaced as the
+// typed conflict.
+func TestGatewayEventsForward(t *testing.T) {
+	bucket := newBucket(t)
 	backends := []*backendFixture{
-		newBackend(t, engine.Options{}),
-		newBackend(t, engine.Options{}),
-		newBackend(t, engine.Options{}),
+		newBackend(t, bucket, engine.Options{}),
+		newBackend(t, bucket, engine.Options{}),
+		newBackend(t, bucket, engine.Options{}),
 	}
-	gw, c, _ := newGateway(t, 2, 3, backends...)
+	_, c, _ := newGateway(t, 3, backends...)
 	ctx := context.Background()
 
 	h, err := c.UploadHierarchy(ctx, "US", testGroups())
@@ -38,20 +39,15 @@ func TestGatewayEventsFanout(t *testing.T) {
 		t.Fatalf("append result = %+v", res)
 	}
 
-	// Every owner replica holds the same head (same fingerprint — the
-	// log is deterministic), so failover serves identical history.
-	owners := gw.cluster.Owners(hierarchyFP(h.ID))
-	if len(owners) != 2 {
-		t.Fatalf("owners = %v, want 2", owners)
-	}
-	for _, u := range owners {
-		b := byURL(t, backends, u)
+	// Every backend reads the one log from the shared store and reports
+	// the same head.
+	for _, b := range backends {
 		vs, err := b.c.HierarchyVersions(ctx, h.ID)
 		if err != nil {
-			t.Fatalf("versions on owner %s: %v", u, err)
+			t.Fatalf("versions on %s: %v", b.ts.URL, err)
 		}
 		if len(vs) != 2 || vs[1].Fingerprint != res.Head.Fingerprint {
-			t.Fatalf("owner %s versions = %+v, want head %q", u, vs, res.Head.Fingerprint)
+			t.Fatalf("backend %s versions = %+v, want head %q", b.ts.URL, vs, res.Head.Fingerprint)
 		}
 	}
 
@@ -64,8 +60,8 @@ func TestGatewayEventsFanout(t *testing.T) {
 		t.Fatalf("gateway versions = %+v", vs)
 	}
 
-	// A stale If-Match conflicts identically on every replica; the
-	// gateway passes the typed 409 through.
+	// A stale If-Match conflicts against the durable head; the gateway
+	// passes the typed 409 through.
 	_, err = c.AppendEvents(ctx, h.ID, []client.Event{
 		client.DeltaEvent([]client.EventGroup{{Path: []string{"NV"}, Size: 1}}, nil, nil),
 	}, h.Fingerprint)

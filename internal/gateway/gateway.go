@@ -18,40 +18,36 @@ import (
 // maxBodyBytes bounds request bodies, mirroring the backend bound.
 const maxBodyBytes = 1 << 30
 
-// maxLearned caps the learned release→hierarchy and job→backend maps.
-// They are routing hints, not state: an evicted entry degrades a read
-// to the scatter fallback, nothing more.
+// maxLearned caps the learned job→backend map and the tenant table.
+// Both are hints, not state: an evicted job hint degrades a poll to
+// asking every live backend in turn, nothing more.
 const maxLearned = 8192
 
 // Options configures a Gateway.
 type Options struct {
 	// Backends is the fleet of hcoc-serve base URLs. Required.
 	Backends []string
-	// Replication, VirtualNodes, FailThreshold and ProbeInterval
-	// configure the cluster (zeros select the cluster defaults).
-	Replication   int
+	// VirtualNodes, FailThreshold and ProbeInterval configure the
+	// cluster (zeros select the cluster defaults).
 	VirtualNodes  int
 	FailThreshold int
 	ProbeInterval time.Duration
 	// Probe overrides the health probe (tests).
 	Probe cluster.ProbeFunc
 	// ClientOptions configures the per-backend SDK clients. The default
-	// is a single retry per backend: the gateway's own replica failover
-	// is the real retry mechanism.
+	// is a single retry per backend: the gateway's own ring failover is
+	// the real retry mechanism.
 	ClientOptions []client.Option
-	// RepairInterval is the anti-entropy sweep period; 0 selects
-	// DefaultRepairInterval, negative disables the background sweeper
-	// (RepairNow still works).
+
+	// Deprecated: Replication is ignored. Every backend reads the
+	// shared store, so a key's failover order is the whole ring.
+	Replication int
+	// Deprecated: RepairInterval is ignored. The shared store is the
+	// fleet's only durability layer, so there is nothing to repair.
 	RepairInterval time.Duration
-	// RepairConcurrency bounds parallel artifact copies within one
-	// sweep (0 selects DefaultRepairConcurrency).
-	RepairConcurrency int
-	// SharedStore declares that every backend mounts the same shared
-	// object store (hcoc-serve -store-backend=s3 against one bucket).
-	// Durability is then the store's job, not the gateway's: write-time
-	// replication and anti-entropy sweeps are skipped entirely — each
-	// would copy bytes to a node that already reads them from the shared
-	// backend — and any backend can serve any release.
+	// Deprecated: SharedStore is ignored. Every backend must mount the
+	// shared store; the health probe ejects one whose /healthz says it
+	// does not.
 	SharedStore bool
 }
 
@@ -76,25 +72,18 @@ type tenantTraffic struct {
 // Gateway routes the /v1 surface across a cluster of backends. Safe
 // for concurrent use; Start/Stop bound the background health probing.
 type Gateway struct {
-	cluster     *cluster.Cluster
-	mux         *http.ServeMux
-	copts       []client.Option
-	repair      *repairer
-	sharedStore bool
+	cluster *cluster.Cluster
+	mux     *http.ServeMux
+	copts   []client.Option
 
-	mu           sync.Mutex
-	clients      map[string]*client.Client // guarded: membership changes at runtime
-	releaseOwner map[string]string         // release id -> hierarchy fingerprint
-	jobOwner     map[string]string         // job id -> backend URL
-	stats        map[string]*backendStats
-	tenants      map[string]*tenantTraffic // hierarchy fingerprint -> release traffic
-	failovers    uint64
-	fanouts      uint64
-	replications uint64
-	replFailures uint64
-	replSkipped  uint64
-	joins        uint64
-	leaves       uint64
+	mu        sync.Mutex
+	clients   map[string]*client.Client // guarded: membership changes at runtime
+	jobOwner  map[string]string         // job id -> backend URL
+	stats     map[string]*backendStats
+	tenants   map[string]*tenantTraffic // hierarchy fingerprint -> release traffic
+	failovers uint64
+	joins     uint64
+	leaves    uint64
 }
 
 // New builds the routing tier over the configured backends. No probing
@@ -102,7 +91,6 @@ type Gateway struct {
 func New(opts Options) (*Gateway, error) {
 	cl, err := cluster.New(cluster.Options{
 		Backends:      opts.Backends,
-		Replication:   opts.Replication,
 		VirtualNodes:  opts.VirtualNodes,
 		FailThreshold: opts.FailThreshold,
 		ProbeInterval: opts.ProbeInterval,
@@ -112,14 +100,12 @@ func New(opts Options) (*Gateway, error) {
 		return nil, err
 	}
 	g := &Gateway{
-		cluster:      cl,
-		sharedStore:  opts.SharedStore,
-		clients:      make(map[string]*client.Client),
-		mux:          http.NewServeMux(),
-		releaseOwner: make(map[string]string),
-		jobOwner:     make(map[string]string),
-		stats:        make(map[string]*backendStats),
-		tenants:      make(map[string]*tenantTraffic),
+		cluster:  cl,
+		clients:  make(map[string]*client.Client),
+		mux:      http.NewServeMux(),
+		jobOwner: make(map[string]string),
+		stats:    make(map[string]*backendStats),
+		tenants:  make(map[string]*tenantTraffic),
 	}
 	g.copts = opts.ClientOptions
 	if g.copts == nil {
@@ -133,25 +119,17 @@ func New(opts Options) (*Gateway, error) {
 		g.clients[u] = c
 		g.stats[u] = &backendStats{}
 	}
-	g.repair = newRepairer(g, opts.RepairInterval, opts.RepairConcurrency)
 	for _, rt := range g.routeTable() {
 		g.mux.HandleFunc(rt.Method+" "+rt.Pattern, rt.handler)
 	}
 	return g, nil
 }
 
-// Start launches the background health-probe and anti-entropy loops;
-// Stop ends them.
-func (g *Gateway) Start() {
-	g.cluster.Start()
-	g.repair.start()
-}
+// Start launches the background health-probe loop; Stop ends it.
+func (g *Gateway) Start() { g.cluster.Start() }
 
-// Stop ends the loops started by Start.
-func (g *Gateway) Stop() {
-	g.cluster.Stop()
-	g.repair.stop()
-}
+// Stop ends the loop started by Start.
+func (g *Gateway) Stop() { g.cluster.Stop() }
 
 // client resolves a backend URL to its SDK client; nil after the
 // backend left the cluster.
@@ -162,9 +140,10 @@ func (g *Gateway) client(u string) *client.Client {
 }
 
 // AddBackend joins a backend at runtime: an SDK client is built for
-// it, it takes its ring share immediately, and the next anti-entropy
-// sweep streams it the artifacts it now owns. Idempotent; the returned
-// bool reports whether the membership actually changed.
+// it, and it takes its ring share immediately — it reads everything
+// from the shared store, so there is nothing to copy to it.
+// Idempotent; the returned bool reports whether the membership
+// actually changed.
 func (g *Gateway) AddBackend(u string) (bool, error) {
 	c, err := client.New(u, g.copts...)
 	if err != nil {
@@ -188,8 +167,8 @@ func (g *Gateway) AddBackend(u string) (bool, error) {
 }
 
 // RemoveBackend drains a backend at runtime: it stops owning keys and
-// receiving traffic. Its artifacts are left in place; the next sweep
-// re-replicates anything the surviving owners are missing.
+// receiving traffic. Its keys move to the next backends on the ring,
+// which read the same shared store.
 func (g *Gateway) RemoveBackend(u string) error {
 	if err := g.cluster.RemoveBackend(u); err != nil {
 		return err
@@ -198,7 +177,7 @@ func (g *Gateway) RemoveBackend(u string) error {
 	delete(g.clients, u)
 	delete(g.stats, u)
 	// Job hints pointing at the departed backend are dead routes; drop
-	// them so polls fall back to the live scatter.
+	// them so polls fall back to asking every live backend.
 	for id, owner := range g.jobOwner {
 		if owner == u {
 			delete(g.jobOwner, id)
@@ -234,7 +213,6 @@ func (g *Gateway) routeTable() []routeEntry {
 		{serve.Route{Method: "GET", Pattern: "/v1/cluster"}, g.handleCluster},
 		{serve.Route{Method: "POST", Pattern: "/v1/cluster/nodes"}, g.handleAddNode},
 		{serve.Route{Method: "DELETE", Pattern: "/v1/cluster/nodes"}, g.handleRemoveNode},
-		{serve.Route{Method: "POST", Pattern: "/v1/cluster/repair"}, g.handleRepair},
 		{serve.Route{Method: "GET", Pattern: "/healthz"}, g.handleHealthz},
 		{serve.Route{Method: "GET", Pattern: "/metrics"}, g.handleMetrics},
 	}
@@ -242,7 +220,7 @@ func (g *Gateway) routeTable() []routeEntry {
 
 // Routes lists every registered endpoint, for the OpenAPI coverage
 // test: the gateway surface is the backend surface plus /v1/cluster,
-// minus the replication-internal artifact import.
+// minus the per-node /v1/tenants view.
 func (g *Gateway) Routes() []serve.Route {
 	table := g.routeTable()
 	out := make([]serve.Route, len(table))
@@ -267,7 +245,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // gateway's response: budget refusals, version conflicts and API
 // errors pass through with their status, machine-readable code and
 // body, a dead cluster is 503, and anything else (transport failures
-// after exhausting every replica) is 502.
+// on every backend tried) is 502.
 func writeClientError(w http.ResponseWriter, err error) {
 	var be *client.BudgetError
 	if errors.As(err, &be) {
@@ -313,7 +291,7 @@ func writeClientError(w http.ResponseWriter, err error) {
 		serve.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	serve.WriteError(w, http.StatusBadGateway, "no replica could serve the request: %v", err)
+	serve.WriteError(w, http.StatusBadGateway, "no backend could serve the request: %v", err)
 }
 
 // record books one forwarded attempt into the backend's counters.
@@ -333,9 +311,8 @@ func (g *Gateway) record(url string, d time.Duration, err error) {
 
 // reportHealth feeds one attempt's outcome to the ejection tracker.
 // Only signals that mean "this backend is broken" count against it:
-// transport failures and 5xx other than backpressure. A 404 means a
-// replica is missing data (try the next one) and 4xx are the caller's
-// fault — neither ejects.
+// transport failures and 5xx other than backpressure. 4xx are the
+// caller's fault and never eject.
 func (g *Gateway) reportHealth(url string, err error) {
 	if err == nil {
 		g.cluster.ReportSuccess(url)
@@ -359,8 +336,10 @@ func (g *Gateway) reportHealth(url string, err error) {
 	g.cluster.ReportFailure(url, err)
 }
 
-// terminal reports errors that must not fail over to the next replica:
-// the answer would be the same (or more wrong) anywhere else.
+// terminal reports errors that must not fail over to the next backend:
+// every backend reads the same shared store, so a refusal (any 4xx,
+// 404 included) would be the same anywhere else. Transport failures
+// and 5xx/backpressure fall through to the next backend.
 func terminal(err error) bool {
 	var be *client.BudgetError
 	if errors.As(err, &be) {
@@ -368,15 +347,13 @@ func terminal(err error) bool {
 	}
 	var ae *client.APIError
 	if errors.As(err, &ae) {
-		// 404 (a replica missing data) and 5xx/backpressure fall
-		// through to the next replica; other 4xx are deterministic.
-		return ae.StatusCode != http.StatusNotFound && ae.StatusCode < 500
+		return ae.StatusCode < 500
 	}
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// forward runs op against each backend in order until one succeeds,
-// feeding stats and health per attempt. The zero-length order and
+// forward runs op against each backend in order until one succeeds or
+// fails terminally, feeding stats and health per attempt. The zero-length order and
 // all-attempts-failed cases both return an error for writeClientError.
 func (g *Gateway) forward(order []string, op func(c *client.Client, url string) error) error {
 	var lastErr error
@@ -438,22 +415,8 @@ func (g *Gateway) recordTenant(fp string, err error) {
 	}
 }
 
-// learnRelease remembers which hierarchy a release belongs to, so
-// reads route straight to its owners instead of scattering.
-func (g *Gateway) learnRelease(releaseID, fp string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.releaseOwner) >= maxLearned {
-		for k := range g.releaseOwner {
-			delete(g.releaseOwner, k)
-			break
-		}
-	}
-	g.releaseOwner[releaseID] = fp
-}
-
 // learnJob remembers which backend runs an async job — jobs are
-// backend-local state, not replicated.
+// backend-local state, not kept in the shared store.
 func (g *Gateway) learnJob(jobID, backendURL string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -466,51 +429,14 @@ func (g *Gateway) learnJob(jobID, backendURL string) {
 	g.jobOwner[jobID] = backendURL
 }
 
-// routeHierarchy resolves a hierarchy fingerprint to its failover
-// order. When every backend is ejected it falls back to the raw ring
-// owners instead of refusing: ejections can be stale (a transient
-// gateway-side blip ejecting the whole fleet), and succeeding against
-// an "ejected" backend is how the request path re-admits a healed
-// cluster without waiting for a probe sweep. The empty slice (no
-// owners at all) cannot happen on a validated cluster.
-func (g *Gateway) routeHierarchy(fp string) []string {
-	if order, err := g.cluster.Route(fp); err == nil {
-		return order
-	}
-	return g.cluster.Owners(fp)
-}
-
-// orderForRelease resolves a release id to its failover order: the
-// owning hierarchy's route when learned — extended with the remaining
-// live backends, because after a membership change a release's new
-// ring owners may not have been repaired yet while an old owner still
-// holds the artifact — every live backend when the hint is forgotten
-// (a gateway restart forgets the hints, not the data), and, with the
-// whole fleet ejected, every configured backend as a last resort.
-func (g *Gateway) orderForRelease(releaseID string) ([]string, error) {
-	g.mu.Lock()
-	fp, ok := g.releaseOwner[releaseID]
-	g.mu.Unlock()
-	if ok {
-		order := g.routeHierarchy(fp)
-		seen := make(map[string]bool, len(order))
-		for _, u := range order {
-			seen[u] = true
-		}
-		for _, u := range g.cluster.Live() {
-			if !seen[u] {
-				order = append(order, u)
-			}
-		}
-		return order, nil
-	}
-	if live := g.cluster.Live(); len(live) > 0 {
-		return live, nil
-	}
-	if all := g.cluster.Backends(); len(all) > 0 {
-		return all, nil
-	}
-	return nil, cluster.ErrNoBackends
+// route is a key's failover order: the whole ring from the key's
+// primary, live backends first and ejected ones last (see
+// cluster.Route). Every backend reads the same shared store, so any of
+// them can answer; the ring only decides whose cache a key warms. An
+// empty order makes forward fail with ErrNoBackends.
+func (g *Gateway) route(key string) []string {
+	order, _ := g.cluster.Route(key)
+	return order
 }
 
 // hierarchyFP extracts the ring key from a hierarchy id ("h-<fp>" or a

@@ -18,6 +18,7 @@ import (
 	"hcoc/internal/engine"
 	"hcoc/internal/serve"
 	"hcoc/internal/store"
+	"hcoc/internal/store/s3stub"
 )
 
 // backendFixture is one in-process hcoc-serve node.
@@ -27,7 +28,40 @@ type backendFixture struct {
 	c   *client.Client
 }
 
-func newBackend(t *testing.T, opts engine.Options) *backendFixture {
+// newBucket starts an in-process S3 stub and returns its URL: the
+// shared store of one test fleet.
+func newBucket(t *testing.T) string {
+	t.Helper()
+	stub := httptest.NewServer(s3stub.New("hcoc"))
+	t.Cleanup(stub.Close)
+	return stub.URL
+}
+
+// sharedStore opens one node's store over the fleet bucket at endpoint.
+func sharedStore(t *testing.T, endpoint string) *store.Store {
+	t.Helper()
+	b, err := store.NewS3(store.S3Options{Endpoint: endpoint, Bucket: "hcoc", Prefix: "fleet"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.OpenBackend(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// newBackend starts one node over the fleet bucket, as hcoc-serve
+// -store-backend s3 runs it.
+func newBackend(t *testing.T, bucket string, opts engine.Options) *backendFixture {
+	t.Helper()
+	opts.Store = sharedStore(t, bucket)
+	return serveBackend(t, opts)
+}
+
+// serveBackend serves an engine over opts.Store (nil: memory only).
+func serveBackend(t *testing.T, opts engine.Options) *backendFixture {
 	t.Helper()
 	eng := engine.New(opts)
 	srv, err := serve.NewServer(eng, opts.Store)
@@ -46,7 +80,7 @@ func newBackend(t *testing.T, opts engine.Options) *backendFixture {
 // newGateway wires a gateway over the fixtures, with fast-fail client
 // settings and no background probing (tests drive health explicitly
 // through the request path or ProbeNow).
-func newGateway(t *testing.T, repl, thresh int, backends ...*backendFixture) (*Gateway, *client.Client, string) {
+func newGateway(t *testing.T, thresh int, backends ...*backendFixture) (*Gateway, *client.Client, string) {
 	t.Helper()
 	urls := make([]string, len(backends))
 	for i, b := range backends {
@@ -54,7 +88,6 @@ func newGateway(t *testing.T, repl, thresh int, backends ...*backendFixture) (*G
 	}
 	gw, err := New(Options{
 		Backends:      urls,
-		Replication:   repl,
 		FailThreshold: thresh,
 		ClientOptions: []client.Option{client.WithMaxRetries(0)},
 	})
@@ -68,6 +101,17 @@ func newGateway(t *testing.T, repl, thresh int, backends ...*backendFixture) (*G
 		t.Fatal(err)
 	}
 	return gw, c, ts.URL
+}
+
+// ringPrimary is the backend a hierarchy's requests go to first while
+// the whole fleet is live.
+func ringPrimary(t *testing.T, gw *Gateway, id string) string {
+	t.Helper()
+	route, err := gw.Cluster().Route(hierarchyFP(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return route[0]
 }
 
 func testGroups() []hcoc.Group {
@@ -91,47 +135,29 @@ func byURL(t *testing.T, backends []*backendFixture, url string) *backendFixture
 	return nil
 }
 
-// TestGatewayClusterFailover is the cluster tier end to end, in
-// process: an upload fans out to R replicas, a release computed on the
-// primary is replicated, the primary is killed, and the same release
-// and its queries keep being served — bit-identically — from a
-// replica, while /v1/cluster reports the ejection.
+// TestGatewayClusterFailover is the failover path end to end, in
+// process: a release computed on the hierarchy's ring owner, the owner
+// killed, and the same release's queries — and the identical release
+// request — keep being served, bit-identically, by the next backend in
+// ring order from the shared store, while /v1/cluster reports the
+// ejection.
 func TestGatewayClusterFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster integration skipped in -short mode")
 	}
 	ctx := context.Background()
+	bucket := newBucket(t)
 	backends := []*backendFixture{
-		newBackend(t, engine.Options{}),
-		newBackend(t, engine.Options{}),
-		newBackend(t, engine.Options{}),
+		newBackend(t, bucket, engine.Options{}),
+		newBackend(t, bucket, engine.Options{}),
+		newBackend(t, bucket, engine.Options{}),
 	}
-	gw, c, _ := newGateway(t, 2, 1, backends...)
+	gw, c, _ := newGateway(t, 1, backends...)
 
 	h, err := c.UploadHierarchy(ctx, "US", testGroups())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The upload fanned out to exactly R=2 ring owners.
-	owners := gw.Cluster().Owners(strings.TrimPrefix(h.ID, "h-"))
-	if len(owners) != 2 {
-		t.Fatalf("owners = %v", owners)
-	}
-	holding := 0
-	for _, b := range backends {
-		hs, err := b.c.Hierarchies(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(hs) == 1 && hs[0].ID == h.ID {
-			holding++
-		}
-	}
-	if holding != 2 {
-		t.Fatalf("%d backends hold the hierarchy, want 2", holding)
-	}
-
 	rel, err := c.Release(ctx, client.ReleaseRequest{Hierarchy: h.ID, Epsilon: 1, K: 50, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -139,23 +165,16 @@ func TestGatewayClusterFailover(t *testing.T) {
 	if rel.CacheHit || rel.Deduped {
 		t.Fatalf("first release was not a fresh computation: %+v", rel)
 	}
-
-	// Replication: both owners hold the artifact, bit-identically.
-	primary, replica := byURL(t, backends, owners[0]), byURL(t, backends, owners[1])
-	fromPrimary, epsP, err := primary.c.DownloadRelease(ctx, rel.Release)
-	if err != nil {
-		t.Fatalf("primary lost its own artifact: %v", err)
-	}
-	fromReplica, epsR, err := replica.c.DownloadRelease(ctx, rel.Release)
-	if err != nil {
-		t.Fatalf("replica did not receive the artifact: %v", err)
-	}
-	if epsP != epsR || len(fromPrimary) != len(fromReplica) {
-		t.Fatalf("replica artifact differs: eps %g/%g, nodes %d/%d", epsP, epsR, len(fromPrimary), len(fromReplica))
-	}
-	for path, hist := range fromPrimary {
-		if !hist.Equal(fromReplica[path]) {
-			t.Fatalf("replica histogram differs at %s", path)
+	// The release ran on the hierarchy's ring owner, and only there.
+	primary := byURL(t, backends, ringPrimary(t, gw, h.ID))
+	for _, b := range backends {
+		if got, want := b.eng.Metrics().Releases, uint64(0); b == primary {
+			want = 1
+			if got != want {
+				t.Fatalf("primary computed %d releases, want 1", got)
+			}
+		} else if got != want {
+			t.Fatalf("backend %s computed %d releases, want 0", b.ts.URL, got)
 		}
 	}
 
@@ -176,35 +195,31 @@ func TestGatewayClusterFailover(t *testing.T) {
 		t.Fatalf("failover answer differs:\nbefore %+v\nafter  %+v", before, after)
 	}
 
-	// The same release request is still served — from the replica's
-	// admitted cache entry, not a recomputation (a recompute would draw
-	// fresh noise and break the bit-identical guarantee above).
+	// The same release request is still served — from the shared store,
+	// not a recomputation (a recompute would draw fresh noise and break
+	// the bit-identical guarantee above).
 	again, err := c.Release(ctx, client.ReleaseRequest{Hierarchy: h.ID, Epsilon: 1, K: 50, Seed: 7})
 	if err != nil {
 		t.Fatalf("release after killing the primary: %v", err)
 	}
-	if again.Release != rel.Release || !again.CacheHit {
-		t.Fatalf("post-failover release = %+v, want a cache hit on %s", again, rel.Release)
+	if again.Release != rel.Release || !(again.StoreHit || again.CacheHit) {
+		t.Fatalf("post-failover release = %+v, want a store hit on %s", again, rel.Release)
 	}
-
-	// Topology reflects the ejection (FailThreshold 1: the failed
-	// forward above ejected it).
-	states := gw.Cluster().States()
-	var dead *int
-	for i, st := range states {
-		if st.URL == owners[0] {
-			dead = &i
-			break
+	for _, b := range backends {
+		if b != primary && b.eng.Metrics().Releases != 0 {
+			t.Fatalf("survivor %s recomputed the release", b.ts.URL)
 		}
 	}
-	if dead == nil {
-		t.Fatalf("primary %q missing from states %+v", owners[0], states)
-	}
-	if st := states[*dead]; st.Healthy || st.Ejections == 0 {
-		t.Fatalf("primary not ejected after failover: %+v", st)
+
+	// Topology reflects the ejection (FailThreshold 1: a failed forward
+	// above ejected it).
+	for _, st := range gw.Cluster().States() {
+		if st.URL == primary.ts.URL && (st.Healthy || st.Ejections == 0) {
+			t.Fatalf("primary not ejected after failover: %+v", st)
+		}
 	}
 
-	// Batch queries keep working through the replica too.
+	// Batch queries keep working through a survivor too.
 	results, err := c.BatchQuery(ctx, rel.Release, []client.NodeQuery{
 		{Node: "US/CA", Quantiles: []float64{0.5}},
 		{Node: "US/WA", Quantiles: []float64{0.5}},
@@ -230,26 +245,28 @@ func TestGatewayClusterFailover(t *testing.T) {
 	}
 }
 
-// TestGatewayScatterListings: with R=1 distinct hierarchies shard to
-// distinct backends; the gateway merges hierarchy and durable-release
-// listings across the fleet and routes queries by the learned
-// ownership.
-func TestGatewayScatterListings(t *testing.T) {
+// TestGatewayListings: distinct hierarchies route to distinct ring
+// primaries, yet one forwarded listing names them all — every backend
+// lists the whole shared store — and releases computed on different
+// backends list and query through the gateway.
+func TestGatewayListings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster integration skipped in -short mode")
 	}
 	ctx := context.Background()
+	bucket := newBucket(t)
 	backends := []*backendFixture{
-		newBackend(t, engine.Options{}),
-		newBackend(t, engine.Options{}),
-		newBackend(t, engine.Options{}),
+		newBackend(t, bucket, engine.Options{}),
+		newBackend(t, bucket, engine.Options{}),
+		newBackend(t, bucket, engine.Options{}),
 	}
-	_, c, _ := newGateway(t, 1, 2, backends...)
+	gw, c, _ := newGateway(t, 2, backends...)
 
-	// Upload several distinct hierarchies; with R=1 and consistent
-	// hashing they spread across backends.
+	// Upload several distinct hierarchies; with consistent hashing
+	// their primaries spread across backends.
 	var ids []string
 	roots := map[string]string{}
+	owners := map[string]bool{}
 	for i := 0; i < 6; i++ {
 		groups := []hcoc.Group{
 			{Path: []string{"A"}, Size: int64(i + 1)},
@@ -263,58 +280,61 @@ func TestGatewayScatterListings(t *testing.T) {
 		}
 		ids = append(ids, h.ID)
 		roots[h.ID] = root
+		owners[ringPrimary(t, gw, h.ID)] = true
 	}
-	merged, err := c.Hierarchies(ctx)
+	if len(owners) < 2 {
+		t.Fatal("all hierarchies route to one backend; the ring is not sharding")
+	}
+	listed, err := c.Hierarchies(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(merged) != len(ids) {
-		t.Fatalf("merged listing has %d hierarchies, want %d", len(merged), len(ids))
+	if len(listed) != len(ids) {
+		t.Fatalf("gateway listing has %d hierarchies, want %d", len(listed), len(ids))
 	}
-
-	// Each hierarchy lives on exactly one backend (R=1, deduped merge).
-	total := 0
-	spread := 0
 	for _, b := range backends {
 		hs, err := b.c.Hierarchies(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += len(hs)
-		if len(hs) > 0 {
-			spread++
+		if len(hs) != len(ids) {
+			t.Fatalf("backend %s lists %d hierarchies, want all %d", b.ts.URL, len(hs), len(ids))
 		}
 	}
-	if total != len(ids) {
-		t.Fatalf("backends hold %d hierarchies total, want %d (no duplication at R=1)", total, len(ids))
-	}
-	if spread < 2 {
-		t.Fatalf("all hierarchies landed on one backend; the ring is not sharding")
-	}
 
-	// Releases on two hierarchies, then cross-shard queries through the
-	// gateway (the root node path was recorded at upload time).
-	for _, id := range ids[:2] {
+	// Releases on hierarchies owned by different backends, then the
+	// durable listing and queries through the gateway.
+	var rels []string
+	for _, id := range ids {
 		rel, err := c.Release(ctx, client.ReleaseRequest{Hierarchy: id, Epsilon: 1, K: 20, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rels = append(rels, rel.Release)
 		if _, err := c.Query(ctx, rel.Release, roots[id], client.QueryParams{Quantiles: []float64{0.5}}); err != nil {
 			t.Fatalf("query on %s: %v", rel.Release, err)
 		}
 	}
+	arts, err := c.Releases(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(arts) != len(rels) {
+		t.Fatalf("gateway lists %d artifacts, want %d", len(arts), len(rels))
+	}
 }
 
 // TestGatewayAsyncJob: async releases run on one backend; the gateway
-// remembers the owner and serves polls, and the finished release is
-// queryable through the scatter fallback.
+// remembers which and serves polls — after forgetting the hint too, by
+// asking every live backend — and the finished release is queryable.
 func TestGatewayAsyncJob(t *testing.T) {
 	ctx := context.Background()
+	bucket := newBucket(t)
 	backends := []*backendFixture{
-		newBackend(t, engine.Options{}),
-		newBackend(t, engine.Options{}),
+		newBackend(t, bucket, engine.Options{}),
+		newBackend(t, bucket, engine.Options{}),
 	}
-	_, c, _ := newGateway(t, 1, 2, backends...)
+	gw, c, _ := newGateway(t, 2, backends...)
 
 	h, err := c.UploadHierarchy(ctx, "US", testGroups())
 	if err != nil {
@@ -331,6 +351,14 @@ func TestGatewayAsyncJob(t *testing.T) {
 	if done.Status != "done" || done.Release == "" {
 		t.Fatalf("job = %+v", done)
 	}
+	// A restarted gateway has no job hints; the poll still finds the
+	// job, whichever backend runs it.
+	gw.mu.Lock()
+	gw.jobOwner = map[string]string{}
+	gw.mu.Unlock()
+	if again, err := c.Job(ctx, job.Job); err != nil || again.Release != done.Release {
+		t.Fatalf("poll without the hint = %+v, %v", again, err)
+	}
 	if _, err := c.Query(ctx, done.Release, "US/CA", client.QueryParams{Quantiles: []float64{0.5}}); err != nil {
 		t.Fatalf("querying async release: %v", err)
 	}
@@ -338,15 +366,16 @@ func TestGatewayAsyncJob(t *testing.T) {
 
 // TestGatewayHealsAfterFullEjection: a stale whole-fleet ejection (a
 // transient gateway-side blip) must be healable by the request path —
-// routing falls back to the ring owners instead of refusing with 503
+// routing tries the ejected backends instead of refusing with 503
 // until a probe sweep happens to run.
 func TestGatewayHealsAfterFullEjection(t *testing.T) {
 	ctx := context.Background()
+	bucket := newBucket(t)
 	backends := []*backendFixture{
-		newBackend(t, engine.Options{}),
-		newBackend(t, engine.Options{}),
+		newBackend(t, bucket, engine.Options{}),
+		newBackend(t, bucket, engine.Options{}),
 	}
-	gw, c, _ := newGateway(t, 2, 1, backends...)
+	gw, c, _ := newGateway(t, 1, backends...)
 
 	h, err := c.UploadHierarchy(ctx, "US", testGroups())
 	if err != nil {
@@ -375,11 +404,12 @@ func TestGatewayHealsAfterFullEjection(t *testing.T) {
 // backend, and a budget refusal crosses the gateway as the typed 429.
 func TestGatewayBudgetPassthrough(t *testing.T) {
 	ctx := context.Background()
+	bucket := newBucket(t)
 	backends := []*backendFixture{
-		newBackend(t, engine.Options{MaxEpsilonPerHierarchy: 1}),
-		newBackend(t, engine.Options{MaxEpsilonPerHierarchy: 1}),
+		newBackend(t, bucket, engine.Options{MaxEpsilonPerHierarchy: 1}),
+		newBackend(t, bucket, engine.Options{MaxEpsilonPerHierarchy: 1}),
 	}
-	_, c, _ := newGateway(t, 1, 2, backends...)
+	_, c, _ := newGateway(t, 2, backends...)
 
 	h, err := c.UploadHierarchy(ctx, "US", testGroups())
 	if err != nil {
@@ -406,8 +436,9 @@ func TestGatewayBudgetPassthrough(t *testing.T) {
 // failover attempts or eject backends.
 func TestGatewayBadRequests(t *testing.T) {
 	ctx := context.Background()
-	b := newBackend(t, engine.Options{})
-	gw, c, base := newGateway(t, 1, 1, b)
+	bucket := newBucket(t)
+	b := newBackend(t, bucket, engine.Options{})
+	gw, c, base := newGateway(t, 1, b)
 
 	cases := []struct {
 		name string
@@ -452,10 +483,11 @@ func TestGatewayBadRequests(t *testing.T) {
 }
 
 // TestGatewayRoutesStable pins the gateway surface: the backend routes
-// plus /v1/cluster, minus the replication-internal PUT.
+// plus /v1/cluster, minus the per-node /v1/tenants view.
 func TestGatewayRoutesStable(t *testing.T) {
-	b := newBackend(t, engine.Options{})
-	gw, _, _ := newGateway(t, 1, 1, b)
+	bucket := newBucket(t)
+	b := newBackend(t, bucket, engine.Options{})
+	gw, _, _ := newGateway(t, 1, b)
 	var got []string
 	for _, rt := range gw.Routes() {
 		got = append(got, rt.Method+" "+rt.Pattern)
@@ -475,7 +507,6 @@ func TestGatewayRoutesStable(t *testing.T) {
 		"GET /v1/cluster",
 		"POST /v1/cluster/nodes",
 		"DELETE /v1/cluster/nodes",
-		"POST /v1/cluster/repair",
 		"GET /healthz",
 		"GET /metrics",
 	}
@@ -487,8 +518,9 @@ func TestGatewayRoutesStable(t *testing.T) {
 // TestGatewayMetrics smoke-tests the Prometheus surface.
 func TestGatewayMetrics(t *testing.T) {
 	ctx := context.Background()
-	b := newBackend(t, engine.Options{})
-	_, c, _ := newGateway(t, 1, 1, b)
+	bucket := newBucket(t)
+	b := newBackend(t, bucket, engine.Options{})
+	_, c, _ := newGateway(t, 1, b)
 	if _, err := c.UploadHierarchy(ctx, "US", testGroups()); err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +531,7 @@ func TestGatewayMetrics(t *testing.T) {
 	for _, want := range []string{
 		"hcoc_gateway_backends 1",
 		"hcoc_gateway_live_backends 1",
-		"hcoc_gateway_fanout_uploads_total 1",
+		"hcoc_gateway_failovers_total 0",
 		"hcoc_gateway_backend_requests_total{backend=",
 		"hcoc_gateway_backend_healthy{backend=",
 	} {
@@ -515,8 +547,9 @@ func TestGatewayMetrics(t *testing.T) {
 // (Retry-After present) counted as throttled.
 func TestGatewayTenantTraffic(t *testing.T) {
 	ctx := context.Background()
-	b := newBackend(t, engine.Options{ComputeSlots: 1, ComputeQueueDepth: 1})
-	_, c, gwURL := newGateway(t, 1, 1, b)
+	bucket := newBucket(t)
+	b := newBackend(t, bucket, engine.Options{ComputeSlots: 1, ComputeQueueDepth: 1})
+	_, c, gwURL := newGateway(t, 1, b)
 
 	h, err := c.UploadHierarchy(ctx, "US", testGroups())
 	if err != nil {
@@ -587,25 +620,21 @@ func TestGatewayTenantTraffic(t *testing.T) {
 	}
 }
 
-// TestGatewayArtifactsAndTopology covers the remaining read surface
-// over a durable fleet: artifact downloads in both formats through the
-// gateway, the merged durable-release listing, and /v1/cluster
-// topology (including ?key routing and probe-learned instance ids).
+// TestGatewayArtifactsAndTopology covers the remaining read surface:
+// artifact downloads in both formats through the gateway, the durable
+// listing, and /v1/cluster topology (including ?key routing and
+// probe-learned instance ids).
 func TestGatewayArtifactsAndTopology(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster integration skipped in -short mode")
 	}
 	ctx := context.Background()
-	var backends []*backendFixture
-	for i := 0; i < 2; i++ {
-		st, err := store.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { st.Close() })
-		backends = append(backends, newBackend(t, engine.Options{Store: st}))
+	bucket := newBucket(t)
+	backends := []*backendFixture{
+		newBackend(t, bucket, engine.Options{}),
+		newBackend(t, bucket, engine.Options{}),
 	}
-	gw, c, base := newGateway(t, 2, 2, backends...)
+	gw, c, base := newGateway(t, 2, backends...)
 	gw.Start()
 	defer gw.Stop()
 
@@ -637,14 +666,13 @@ func TestGatewayArtifactsAndTopology(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	// The durable listing merges and dedupes across the fleet: the
-	// artifact was replicated to both backends but lists once.
+	// The durable listing names the artifact once.
 	arts, err := c.Releases(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(arts) != 1 || arts[0].Release != rel.Release || arts[0].Hierarchy != h.ID {
-		t.Fatalf("merged listing = %+v", arts)
+		t.Fatalf("listing = %+v", arts)
 	}
 
 	// Topology introspection: probes recorded each backend's engine
@@ -656,7 +684,6 @@ func TestGatewayArtifactsAndTopology(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var topo struct {
-		Replication  int `json:"replication"`
 		VirtualNodes int `json:"virtual_nodes"`
 		Live         int `json:"live"`
 		Backends     []struct {
@@ -670,7 +697,7 @@ func TestGatewayArtifactsAndTopology(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&topo); err != nil {
 		t.Fatal(err)
 	}
-	if topo.Replication != 2 || topo.Live != 2 || len(topo.Backends) != 2 || len(topo.Route) != 2 {
+	if topo.Live != 2 || len(topo.Backends) != 2 || len(topo.Route) != 2 {
 		t.Fatalf("topology = %+v", topo)
 	}
 	for _, b := range topo.Backends {
@@ -678,18 +705,9 @@ func TestGatewayArtifactsAndTopology(t *testing.T) {
 		if b.Instance != fx.eng.ID() {
 			t.Fatalf("backend %s instance %q, engine %q", b.URL, b.Instance, fx.eng.ID())
 		}
-		if !b.Healthy || b.Requests == 0 {
+		if !b.Healthy {
 			t.Fatalf("backend state %+v", b)
 		}
-	}
-
-	// A gateway that forgot its ownership hints (restart) still serves
-	// queries via the scatter fallback.
-	gw.mu.Lock()
-	gw.releaseOwner = map[string]string{}
-	gw.mu.Unlock()
-	if _, err := c.Query(ctx, rel.Release, "US/WA", client.QueryParams{Quantiles: []float64{0.9}}); err != nil {
-		t.Fatalf("query after losing ownership hints: %v", err)
 	}
 }
 
@@ -697,8 +715,9 @@ func TestGatewayArtifactsAndTopology(t *testing.T) {
 // conventions as a backend — gzip request bodies, 415 on wrong
 // Content-Type/Encoding, 400 on malformed JSON.
 func TestGatewayTransportConventions(t *testing.T) {
-	b := newBackend(t, engine.Options{})
-	_, _, base := newGateway(t, 1, 1, b)
+	bucket := newBucket(t)
+	b := newBackend(t, bucket, engine.Options{})
+	_, _, base := newGateway(t, 1, b)
 
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)

@@ -101,8 +101,7 @@ func (q Query) validate() error {
 }
 
 // Source fetches one release by key. The engine is the usual Source
-// (LRU, then durable store); the gateway substitutes artifacts it
-// scatter-downloaded from ring owners.
+// (LRU, then durable store).
 type Source interface {
 	// Fetch returns the run-length release for key, or an error (such
 	// as engine.ErrNotCached) that becomes the per-query error of every

@@ -294,9 +294,8 @@ func hierarchyID(id string) string {
 // across all versions), what remains under the per-version and
 // continual-observation bounds, and whether each bound is enforced.
 func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
-	l, ok := s.logs.Get(hierarchyID(r.PathValue("id")))
+	l, ok := s.hierarchyLog(w, r.PathValue("id"))
 	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown hierarchy %q; POST /v1/hierarchy first", r.PathValue("id"))
 		return
 	}
 	head := l.Head()

@@ -102,12 +102,54 @@ func NewServer(eng *engine.Engine, st *store.Store, opts ...ServerOption) (*Serv
 	return s, nil
 }
 
-// RefreshLogs re-reads the store manifest for event logs appended by
-// other writers on a shared backend: new logs are opened and known logs
-// catch up to their durable head. Wired to SIGHUP alongside the store's
-// own Refresh.
-func (s *Server) RefreshLogs() error {
-	return s.logs.Refresh()
+// RefreshShared re-reads a shared store's manifest, so artifacts and
+// budget spend written by other nodes become visible, then opens the
+// event logs the refresh brought in and catches known logs up to their
+// durable heads. A no-op without a shared store. Listings call it
+// before answering; cmd/hcoc-serve also wires it to SIGHUP.
+func (s *Server) RefreshShared() error {
+	if !s.shared() {
+		return nil
+	}
+	if err := s.st.Refresh(); err != nil {
+		return fmt.Errorf("store refresh: %w", err)
+	}
+	if err := s.logs.Refresh(); err != nil {
+		return fmt.Errorf("event-log refresh: %w", err)
+	}
+	return nil
+}
+
+// shared reports whether other nodes may write this server's store.
+func (s *Server) shared() bool { return s.st != nil && s.st.Shared() }
+
+// hierarchyLog resolves a hierarchy id to its event log, writing the
+// 404 (unknown) or 500 (the store could not say) itself; ok reports
+// whether the handler should proceed.
+func (s *Server) hierarchyLog(w http.ResponseWriter, id string) (*eventlog.Log, bool) {
+	l, ok, err := s.logs.Get(hierarchyID(id))
+	switch {
+	case err != nil:
+		WriteError(w, http.StatusInternalServerError, "reading hierarchy %q from the store: %v", id, err)
+	case !ok:
+		WriteError(w, http.StatusNotFound, "unknown hierarchy %q; POST /v1/hierarchy first", id)
+	}
+	return l, ok && err == nil
+}
+
+// catchUp brings a log to its durable head before a head-resolving
+// read when other nodes share the store and may have appended since,
+// so any node serves what any other wrote. It writes the 500 itself;
+// ok reports whether the handler should proceed.
+func (s *Server) catchUp(w http.ResponseWriter, l *eventlog.Log) bool {
+	if !s.shared() {
+		return true
+	}
+	if err := l.Refresh(); err != nil {
+		WriteError(w, http.StatusInternalServerError, "reading hierarchy h-%s from the shared store: %v", l.ID(), err)
+		return false
+	}
+	return true
 }
 
 // Route is one registered endpoint: an HTTP method and a net/http mux
@@ -133,7 +175,6 @@ func (s *Server) routeTable() []routeEntry {
 		{Route{"POST", "/v1/release"}, s.handleRelease},
 		{Route{"GET", "/v1/release"}, s.handleListReleases},
 		{Route{"GET", "/v1/release/{id}"}, s.handleGetRelease},
-		{Route{"PUT", "/v1/release/{id}"}, s.handleImportRelease},
 		{Route{"GET", "/v1/jobs/{id}"}, s.handleGetJob},
 		{Route{"POST", "/v1/query/batch"}, s.handleBatchQuery},
 		{Route{"GET", "/v1/query/{node...}"}, s.handleQuery},
@@ -160,33 +201,36 @@ func (s *Server) Routes() []Route {
 // the accountant is seeded with the epsilon already spent against every
 // version fingerprint of the log — spend recorded by this process or
 // replayed from the store manifest — so a restart cannot reset the
-// continual budget. Returns nil when the bound is unenforced. Caller
-// holds contMu (the Accountant itself is not concurrency-safe).
+// continual budget. On a shared store every call raises it again to
+// that figure, which then includes other nodes' charges. Returns nil
+// when the bound is unenforced. Caller holds contMu (the Accountant
+// itself is not concurrency-safe).
 func (s *Server) continualFor(l *eventlog.Log) *privacy.Accountant {
 	if s.contLimit <= 0 {
 		return nil
 	}
-	if acct, ok := s.continual[l.ID()]; ok {
+	acct, ok := s.continual[l.ID()]
+	if ok && !s.shared() {
 		return acct
 	}
-	acct, err := privacy.NewAccountant(s.contLimit)
-	if err != nil {
-		return nil
+	if !ok {
+		var err error
+		if acct, err = privacy.NewAccountant(s.contLimit); err != nil {
+			return nil
+		}
+		s.continual[l.ID()] = acct
 	}
 	var spent float64
 	for _, v := range l.Versions() {
 		vs, _, _, _ := s.eng.BudgetStatus(v.Fingerprint)
 		spent += vs
 	}
-	if spent > 0 {
-		// Historical spend may already exceed a newly lowered limit;
-		// clamp so the accountant still refuses new work.
-		if spent > acct.Remaining() {
-			spent = acct.Remaining()
-		}
-		_ = acct.Spend("warm-start", spent)
+	// The recorded spend may already exceed a newly lowered limit;
+	// clamp so the accountant still refuses new work. It never lowers
+	// the account: charges in flight here are not recorded yet.
+	if extra := min(spent-acct.Spent(), acct.Remaining()); extra > 1e-12 {
+		_ = acct.Spend("recorded", extra)
 	}
-	s.continual[l.ID()] = acct
 	return acct
 }
 
@@ -195,6 +239,12 @@ func (s *Server) continualFor(l *eventlog.Log) *privacy.Accountant {
 // would be exceeded; remaining reports what the log could still afford.
 // charged=false means the bound is unenforced (nothing to refund).
 func (s *Server) chargeContinual(l *eventlog.Log, epsilon float64) (charged, ok bool, remaining float64) {
+	if s.contLimit > 0 && s.shared() {
+		// Start from the bucket's current ledger, so the bound holds
+		// for the fleet. A failed read leaves the last one in place;
+		// the engine's own charge re-reads it and fails closed.
+		_ = s.st.Refresh()
+	}
 	s.contMu.Lock()
 	defer s.contMu.Unlock()
 	acct := s.continualFor(l)
@@ -439,7 +489,7 @@ func (s *Server) handleHierarchy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp := engine.FingerprintTree(tree)
-	if _, ok := s.logs.Get(fp); !ok && s.logs.Len() >= s.maxTrees {
+	if _, ok, err := s.logs.Get(fp); err == nil && !ok && s.logs.Len() >= s.maxTrees {
 		WriteError(w, http.StatusInsufficientStorage,
 			"hierarchy store is full (%d); re-use an uploaded hierarchy or restart the server", s.maxTrees)
 		return
@@ -471,6 +521,10 @@ func logResponse(l *eventlog.Log) hierarchyResponse {
 }
 
 func (s *Server) handleListHierarchies(w http.ResponseWriter, r *http.Request) {
+	if err := s.RefreshShared(); err != nil {
+		WriteError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	logs := s.logs.Logs()
 	out := make([]hierarchyResponse, 0, len(logs))
 	for _, l := range logs {
@@ -579,9 +633,8 @@ func eventFromRecord(rec eventRecord) eventlog.Event {
 // order, one at a time — an invalid event fails the request at that
 // index, keeping the versions the earlier events already produced.
 func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) {
-	l, ok := s.logs.Get(hierarchyID(r.PathValue("id")))
+	l, ok := s.hierarchyLog(w, r.PathValue("id"))
 	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown hierarchy %q; POST /v1/hierarchy first", r.PathValue("id"))
 		return
 	}
 	var req appendEventsRequest
@@ -590,6 +643,11 @@ func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Events) == 0 {
 		WriteError(w, http.StatusBadRequest, "no events in request")
+		return
+	}
+	// Validate against every append acknowledged before this request:
+	// a delta may remove groups another node added.
+	if !s.catchUp(w, l) {
 		return
 	}
 	ifMatch := strings.Trim(r.Header.Get("If-Match"), `"`)
@@ -636,9 +694,11 @@ type versionsResponse struct {
 
 // handleVersions lists a hierarchy's immutable versions, oldest first.
 func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
-	l, ok := s.logs.Get(hierarchyID(r.PathValue("id")))
+	l, ok := s.hierarchyLog(w, r.PathValue("id"))
 	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown hierarchy %q; POST /v1/hierarchy first", r.PathValue("id"))
+		return
+	}
+	if !s.catchUp(w, l) {
 		return
 	}
 	vs := l.Versions()
@@ -816,13 +876,15 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	if !DecodeJSON(w, r, &req) {
 		return
 	}
-	l, ok := s.logs.Get(hierarchyID(req.Hierarchy))
+	l, ok := s.hierarchyLog(w, req.Hierarchy)
 	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown hierarchy %q; POST /v1/hierarchy first", req.Hierarchy)
 		return
 	}
 	if req.Version < 0 {
 		WriteError(w, http.StatusBadRequest, "version must be nonnegative, got %d (0 selects the head)", req.Version)
+		return
+	}
+	if req.Version == 0 && !s.catchUp(w, l) {
 		return
 	}
 	tree, ver, err := l.Tree(req.Version)
@@ -1011,12 +1073,15 @@ type releaseListEntry struct {
 // gone. ?hierarchy= narrows the list to one event log (artifacts of
 // every version); adding ?version= narrows to one pinned version.
 func (s *Server) handleListReleases(w http.ResponseWriter, r *http.Request) {
+	if err := s.RefreshShared(); err != nil {
+		WriteError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	q := r.URL.Query()
 	var filter map[string]bool // version fingerprints; nil = unfiltered
-	if hid := hierarchyID(q.Get("hierarchy")); hid != "" {
-		l, ok := s.logs.Get(hid)
+	if hid := q.Get("hierarchy"); hid != "" {
+		l, ok := s.hierarchyLog(w, hid)
 		if !ok {
-			WriteError(w, http.StatusNotFound, "unknown hierarchy %q", q.Get("hierarchy"))
 			return
 		}
 		filter = make(map[string]bool)
@@ -1141,73 +1206,6 @@ func (s *Server) handleGetRelease(w http.ResponseWriter, r *http.Request) {
 	ServeArtifact(w, r, releaseETag(key, format), time.Time{}, bytes.NewReader(buf.Bytes()))
 }
 
-// importResponse is the JSON shape of PUT /v1/release/{id}.
-type importResponse struct {
-	Release  string `json:"release"`
-	Imported bool   `json:"imported"`
-}
-
-// handleImportRelease accepts a release artifact computed by another
-// node and admits it into this node's cache/store tiers — the cluster
-// replication path. The body is the sparse artifact exactly as served
-// by GET /v1/release/{id}; ?hierarchy names the owning hierarchy for
-// the durable manifest and ?algorithm/?duration_ms carry the original
-// computation's metadata. No privacy budget is spent: the noise was
-// drawn (and accounted) on the computing node. Importing a key this
-// node already holds is an idempotent no-op.
-func (s *Server) handleImportRelease(w http.ResponseWriter, r *http.Request) {
-	key := releaseID(r.PathValue("id"))
-	q := r.URL.Query()
-	fp := strings.TrimPrefix(q.Get("hierarchy"), "h-")
-	if fp == "" {
-		WriteError(w, http.StatusBadRequest, "missing hierarchy query parameter")
-		return
-	}
-	alg, err := engine.ParseAlgorithm(q.Get("algorithm"))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	var duration time.Duration
-	if raw := q.Get("duration_ms"); raw != "" {
-		ms, err := strconv.ParseFloat(raw, 64)
-		if err != nil || ms < 0 {
-			WriteError(w, http.StatusBadRequest, "bad duration_ms %q", raw)
-			return
-		}
-		duration = time.Duration(ms * float64(time.Millisecond))
-	}
-	rel, epsilon, err := hcoc.ReadReleaseSparse(r.Body)
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			WriteError(w, http.StatusRequestEntityTooLarge,
-				"artifact exceeds the %d-byte limit", tooLarge.Limit)
-			return
-		}
-		WriteError(w, http.StatusBadRequest, "decoding artifact: %v", err)
-		return
-	}
-	// Client-input problems are 400s; only engine/store failures below
-	// are 500s (a 500 also counts against this backend's health at the
-	// gateway, which a caller mistake must not).
-	if key == "" {
-		WriteError(w, http.StatusBadRequest, "missing release key in path")
-		return
-	}
-	if len(rel) == 0 || epsilon <= 0 {
-		WriteError(w, http.StatusBadRequest,
-			"artifact has %d nodes and epsilon %g; nothing to admit", len(rel), epsilon)
-		return
-	}
-	admitted, err := s.eng.Admit(key, fp, alg, rel, epsilon, duration)
-	if err != nil {
-		WriteError(w, http.StatusInternalServerError, "admitting release: %v", err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, importResponse{Release: "r-" + key, Imported: admitted})
-}
-
 // queryResponse is the JSON shape of a node query.
 type queryResponse struct {
 	Node       string           `json:"node"`
@@ -1268,9 +1266,8 @@ func ParseQueryParams(w http.ResponseWriter, q url.Values) (quantiles []float64,
 // byte-stable as the hierarchy keeps moving: the version's fingerprint
 // is immutable, and the artifacts it names never change.
 func (s *Server) resolveReleaseKey(w http.ResponseWriter, hierarchy, version string) (string, bool) {
-	l, ok := s.logs.Get(hierarchyID(hierarchy))
+	l, ok := s.hierarchyLog(w, hierarchy)
 	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown hierarchy %q", hierarchy)
 		return "", false
 	}
 	var seq int64
@@ -1282,18 +1279,30 @@ func (s *Server) resolveReleaseKey(w http.ResponseWriter, hierarchy, version str
 		}
 		seq = v
 	}
+	if seq == 0 && !s.catchUp(w, l) {
+		return "", false
+	}
 	ver, ok := l.Version(seq)
 	if !ok {
 		WriteError(w, http.StatusNotFound, "hierarchy h-%s has no version %d (head is %d)", l.ID(), seq, l.Head().Seq)
 		return "", false
 	}
-	var key string
-	var latest time.Time
-	if s.st != nil {
+	latestFor := func(fp string) (key string) {
+		var latest time.Time
 		for _, m := range s.st.List() {
-			if m.Hierarchy == ver.Fingerprint && (key == "" || m.CreatedAt.After(latest)) {
+			if m.Hierarchy == fp && (key == "" || m.CreatedAt.After(latest)) {
 				key, latest = m.Key, m.CreatedAt
 			}
+		}
+		return key
+	}
+	var key string
+	if s.st != nil {
+		key = latestFor(ver.Fingerprint)
+		// Another node may have released this version since the index
+		// was last read.
+		if key == "" && s.shared() && s.st.Refresh() == nil {
+			key = latestFor(ver.Fingerprint)
 		}
 	}
 	if key == "" {
@@ -1417,11 +1426,16 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 // engine's random per-process identity: cluster gateways record it so
 // topology introspection can name which process answers at each URL
 // (and notice restarts, which mint a fresh id).
+// healthzResponse is the body of GET /healthz. SharedStore reports
+// whether the node's store is shared by the fleet (an S3 bucket); the
+// gateway ejects backends that report false, since a node with private
+// state would answer differently from its peers.
 type healthzResponse struct {
 	Status      string `json:"status"`
 	Instance    string `json:"instance"`
 	Hierarchies int    `json:"hierarchies"`
 	Inflight    int    `json:"inflight_releases"`
+	SharedStore bool   `json:"shared_store"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -1431,6 +1445,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Instance:    s.eng.ID(),
 		Hierarchies: hierarchies,
 		Inflight:    s.eng.Metrics().InFlight,
+		SharedStore: s.shared(),
 	})
 }
 
@@ -1466,9 +1481,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	put("hcoc_peer_fetch_attempts_total", "Cache+store misses that consulted the peer tier.", m.PeerFetchAttempts)
 	put("hcoc_peer_fetch_hits_total", "Peer fetches that returned an artifact, avoiding a recompute.", m.PeerFetchHits)
 	put("hcoc_peer_fetch_failures_total", "Peer fetches that failed in transport (clean misses excluded).", m.PeerFetchFailures)
-	backend, shared := "none", false
+	backend, shared := "none", s.shared()
 	if s.st != nil {
-		backend, shared = s.st.Backend(), s.st.Shared()
+		backend = s.st.Backend()
 	}
 	fmt.Fprintf(w, "# HELP hcoc_store_backend_info Configured blob backend (constant 1; the labels carry the information).\nhcoc_store_backend_info{backend=%q,shared=%q} 1\n",
 		backend, strconv.FormatBool(shared))

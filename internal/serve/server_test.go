@@ -670,72 +670,8 @@ func TestServeHealthz(t *testing.T) {
 	if len(out.Instance) != 8 {
 		t.Fatalf("healthz instance %q, want an 8-hex engine id", out.Instance)
 	}
-}
-
-// TestImportRelease exercises the cluster-replication path: a release
-// computed on one node is downloaded and PUT into a second node, which
-// must then serve identical artifact bytes and queries — without
-// recomputing and without spending budget.
-func TestImportRelease(t *testing.T) {
-	src := newTestServer(t, engine.Options{})
-	hr := uploadGroups(t, src, "US", smallGroups())
-	var rel releaseResponse
-	if status, body := postJSON(t, src.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 9}, &rel); status != http.StatusOK {
-		t.Fatalf("release: status %d: %s", status, body)
-	}
-	artifact := getBody(t, src.URL+"/v1/release/"+rel.Release)
-
-	dstEng := engine.New(engine.Options{MaxEpsilonPerHierarchy: 0.5}) // below the release's epsilon
-	dstSrv, err := NewServer(dstEng, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := httptest.NewServer(dstSrv)
-	t.Cleanup(dst.Close)
-
-	importURL := dst.URL + "/v1/release/" + rel.Release + "?hierarchy=" + hr.ID
-	var imp importResponse
-	if status, body := putBytes(t, importURL, artifact, &imp); status != http.StatusOK {
-		t.Fatalf("import: status %d: %s", status, body)
-	}
-	if !imp.Imported || imp.Release != rel.Release {
-		t.Fatalf("import = %+v", imp)
-	}
-
-	// Idempotent re-import.
-	if status, body := putBytes(t, importURL, artifact, &imp); status != http.StatusOK || imp.Imported {
-		t.Fatalf("re-import: status %d, %+v: %s", status, imp, body)
-	}
-
-	// The replica serves the exact artifact bytes and answers queries —
-	// even though its own budget (0.5) could never afford computing it,
-	// because admission spends nothing.
-	if got := getBody(t, dst.URL+"/v1/release/"+rel.Release); !bytes.Equal(got, artifact) {
-		t.Fatal("replica artifact differs from the original")
-	}
-	var q queryResponse
-	if status, body := getJSON(t, dst.URL+"/v1/query/US/CA?release="+rel.Release+"&q=0.5", &q); status != http.StatusOK {
-		t.Fatalf("replica query: status %d: %s", status, body)
-	}
-
-	// Bad imports are refused.
-	if status, _ := putBytes(t, dst.URL+"/v1/release/r-x", artifact, nil); status != http.StatusBadRequest {
-		t.Fatalf("import without hierarchy: status %d, want 400", status)
-	}
-	if status, _ := putBytes(t, importURL, []byte("not an artifact"), nil); status != http.StatusBadRequest {
-		t.Fatalf("garbage artifact: status %d, want 400", status)
-	}
-	if status, _ := putBytes(t, dst.URL+"/v1/release/r-y?hierarchy=h-z&duration_ms=-3", artifact, nil); status != http.StatusBadRequest {
-		t.Fatalf("negative duration: status %d, want 400", status)
-	}
-	// A decodable but empty artifact is the caller's mistake (400), not
-	// a server failure (500) — a 500 would count against this backend's
-	// health at the cluster gateway.
-	var empty bytes.Buffer
-	if err := hcoc.WriteReleaseSparse(&empty, hcoc.SparseHistograms{}, 1); err == nil {
-		if status, body := putBytes(t, dst.URL+"/v1/release/r-z?hierarchy=h-z", empty.Bytes(), nil); status != http.StatusBadRequest {
-			t.Fatalf("empty artifact: status %d, want 400: %s", status, body)
-		}
+	if out.SharedStore {
+		t.Fatal("healthz reports a shared store on a memory-only server")
 	}
 }
 
@@ -755,30 +691,6 @@ func getBody(t *testing.T, url string) []byte {
 		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, data)
 	}
 	return data
-}
-
-// putBytes PUTs a raw body and decodes a 200 JSON response into out.
-func putBytes(t *testing.T, url string, body []byte, out any) (int, string) {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != nil && resp.StatusCode == http.StatusOK {
-		if err := json.Unmarshal(data, out); err != nil {
-			t.Fatalf("parsing response %q: %v", data, err)
-		}
-	}
-	return resp.StatusCode, string(data)
 }
 
 // TestServeBottomUp exercises the baseline algorithm through the API;

@@ -17,6 +17,10 @@ import (
 // ErrNoBlob reports a key the blob backend has no object for.
 var ErrNoBlob = errors.New("store: blob not found")
 
+// ErrBlobExists reports a PutIfAbsent that lost: the key already holds
+// an object, written by another writer (or an earlier attempt).
+var ErrBlobExists = errors.New("store: blob already exists")
+
 // BlobInfo describes one stored object.
 type BlobInfo struct {
 	// Key is the object's store key (slash-separated, e.g.
@@ -41,6 +45,11 @@ type BlobInfo struct {
 //   - Put is atomic: a reader never observes a torn object, only the
 //     old content or the complete new one. Concurrent Puts of the same
 //     key leave one writer's complete payload.
+//   - PutIfAbsent is Put that only creates: of any number of
+//     concurrent calls on one absent key exactly one returns nil and
+//     its bytes are what the key holds; the rest, and every call on a
+//     key that already exists, return ErrBlobExists. It is the
+//     compare-and-swap that lets several writers share one store.
 //   - Get returns an io.ReadSeekCloser so artifacts can be served
 //     zero-copy with HTTP range support; Get and Stat return ErrNoBlob
 //     for absent keys.
@@ -60,6 +69,7 @@ type BlobStore interface {
 	// the boot-time snapshot.
 	Shared() bool
 	Put(key string, data []byte) error
+	PutIfAbsent(key string, data []byte) error
 	Get(key string) (io.ReadSeekCloser, BlobInfo, error)
 	Stat(key string) (BlobInfo, error)
 	List(prefix string) ([]BlobInfo, error)
@@ -116,17 +126,49 @@ func (d *Disk) objectPath(key string) (string, error) {
 // bytes land completely or not at all, and the directory is fsynced so
 // the rename itself survives a crash.
 func (d *Disk) Put(key string, data []byte) error {
+	return d.put(key, data, os.Rename)
+}
+
+// PutIfAbsent implements BlobStore with temp+link: link(2) fails if the
+// key exists, so the check and the create are one atomic step, and a
+// reader never sees a partial object.
+func (d *Disk) PutIfAbsent(key string, data []byte) error {
+	err := d.put(key, data, os.Link)
+	if errors.Is(err, os.ErrExist) {
+		return ErrBlobExists
+	}
+	return err
+}
+
+// put writes data to a fsynced temp file beside the key's path, moves
+// it into place with place (rename or link), and fsyncs the directory.
+func (d *Disk) put(key string, data []byte, place func(oldpath, newpath string) error) error {
 	p, err := d.objectPath(key)
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+	dir := filepath.Dir(p)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	err = writeAtomic(p, func(f *os.File) error {
-		_, err := f.Write(data)
-		return err
-	})
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	if err != nil {
+		return fmt.Errorf("store: writing %s: %w", key, err)
+	}
+	defer os.Remove(tmp.Name()) // no-op after a rename; drops the link source
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = place(tmp.Name(), p)
+	}
+	if err == nil {
+		err = syncDir(dir)
+	}
 	if err != nil {
 		return fmt.Errorf("store: writing %s: %w", key, err)
 	}
@@ -255,33 +297,6 @@ func (d *Disk) Close() error {
 	err := d.manifest.Close()
 	d.manifest = nil
 	return err
-}
-
-// writeAtomic writes data to path via a temp file in the same
-// directory, fsyncing the file and its directory so a crash leaves
-// either the old state or the complete new file, never a torn one.
-func writeAtomic(path string, write func(*os.File) error) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return syncDir(dir)
 }
 
 func syncDir(dir string) error {

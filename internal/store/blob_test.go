@@ -154,6 +154,54 @@ func TestBlobConformance(t *testing.T) {
 				}
 			})
 
+			t.Run("concurrent-put-if-absent", func(t *testing.T) {
+				const key = "events/race/000000000002.json"
+				payloads := make([][]byte, 8)
+				for i := range payloads {
+					payloads[i] = bytes.Repeat([]byte{byte('a' + i)}, 1024)
+				}
+				errs := make([]error, len(payloads))
+				var wg sync.WaitGroup
+				for i, p := range payloads {
+					wg.Add(1)
+					go func(i int, p []byte) {
+						defer wg.Done()
+						errs[i] = b.PutIfAbsent(key, p)
+					}(i, p)
+				}
+				wg.Wait()
+				winner := -1
+				for i, err := range errs {
+					switch {
+					case err == nil && winner >= 0:
+						t.Fatalf("writers %d and %d both won", winner, i)
+					case err == nil:
+						winner = i
+					case !errors.Is(err, ErrBlobExists):
+						t.Fatalf("writer %d: %v, want ErrBlobExists", i, err)
+					}
+				}
+				if winner < 0 {
+					t.Fatal("no writer won")
+				}
+				r, _, err := b.Get(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				got, err := io.ReadAll(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, payloads[winner]) {
+					t.Fatalf("key holds %q..., want the winner's %q...", got[:1], payloads[winner][:1])
+				}
+				// A later create on the taken key loses too.
+				if err := b.PutIfAbsent(key, []byte("late")); !errors.Is(err, ErrBlobExists) {
+					t.Fatalf("PutIfAbsent on an existing key = %v, want ErrBlobExists", err)
+				}
+			})
+
 			t.Run("list-prefix-order", func(t *testing.T) {
 				// More objects than the S3 ListPageSize so pagination runs.
 				for i := 0; i < 7; i++ {

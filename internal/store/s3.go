@@ -158,6 +158,25 @@ func (s *S3) Put(key string, data []byte) error {
 	return nil
 }
 
+// PutIfAbsent implements BlobStore with a conditional PUT
+// (If-None-Match: *): the store creates the object only if the key is
+// absent and answers 412 Precondition Failed otherwise.
+func (s *S3) PutIfAbsent(key string, data []byte) error {
+	resp, err := s.do(http.MethodPut, s.urlFor(key), data, http.Header{"If-None-Match": {"*"}})
+	if err != nil {
+		return err
+	}
+	defer drain(resp)
+	switch resp.StatusCode {
+	case http.StatusOK:
+		return nil
+	case http.StatusPreconditionFailed:
+		return ErrBlobExists
+	default:
+		return s.apiError("PUT", key, resp)
+	}
+}
+
 // Get implements BlobStore. The returned reader is lazy and ranged:
 // Seek just moves an offset, and each Read run streams from a ranged
 // GET starting there — http.ServeContent's seek-to-end size probe costs

@@ -94,6 +94,14 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request, objs map[stri
 	}
 	etag := fmt.Sprintf("%q", strconv.Itoa(len(data))+"-"+strconv.FormatInt(time.Now().UnixNano(), 36))
 	s.mu.Lock()
+	// A conditional create (If-None-Match: *) loses to any existing
+	// object; the check and the write share the lock, so of several
+	// racing creates exactly one wins.
+	if _, exists := objs[key]; exists && r.Header.Get("If-None-Match") == "*" {
+		s.mu.Unlock()
+		writeS3Error(w, http.StatusPreconditionFailed, "PreconditionFailed", key)
+		return
+	}
 	objs[key] = object{data: data, modTime: time.Now().UTC().Truncate(time.Second), etag: etag}
 	s.puts++
 	s.mu.Unlock()

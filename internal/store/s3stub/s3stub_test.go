@@ -186,3 +186,25 @@ func TestErrors(t *testing.T) {
 		t.Fatalf("error body = %q", body)
 	}
 }
+
+// TestConditionalCreate: a PUT with If-None-Match: * creates an absent
+// key and is refused with 412 once the key exists; a plain PUT still
+// overwrites.
+func TestConditionalCreate(t *testing.T) {
+	_, ts := newStub(t)
+	url := ts.URL + "/hcoc/events/log/1.json"
+	create := map[string]string{"If-None-Match": "*"}
+	if got := doReq(t, http.MethodPut, url, "first", create).StatusCode; got != http.StatusOK {
+		t.Fatalf("conditional create of an absent key = %d, want 200", got)
+	}
+	if got := doReq(t, http.MethodPut, url, "second", create).StatusCode; got != http.StatusPreconditionFailed {
+		t.Fatalf("conditional create of an existing key = %d, want 412", got)
+	}
+	body, _ := io.ReadAll(doReq(t, http.MethodGet, url, "", nil).Body)
+	if string(body) != "first" {
+		t.Fatalf("key holds %q after a refused create, want %q", body, "first")
+	}
+	if got := doReq(t, http.MethodPut, url, "third", nil).StatusCode; got != http.StatusOK {
+		t.Fatalf("plain PUT over an existing key = %d, want 200", got)
+	}
+}

@@ -398,6 +398,14 @@ func (s *Store) EpsilonByHierarchy() map[string]float64 {
 	return out
 }
 
+// Spent returns one hierarchy's cumulative epsilon as the index last
+// saw it: EpsilonByHierarchy for a single fingerprint, without the copy.
+func (s *Store) Spent(fp string) float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.spent[fp]
+}
+
 // AppendEvent durably records one appended hierarchy event chunk in the
 // manifest: Hierarchy is the event log id and Seq the chunk's 1-based
 // sequence number. Call it AFTER the chunk object itself is durable —
