@@ -66,6 +66,15 @@ func TestPublicReleaseSingle(t *testing.T) {
 	if _, err := ReleaseSingle(h, MethodHc, Options{}); err == nil {
 		t.Error("zero epsilon accepted")
 	}
+	// At these budgets exp(-1/scale) rounds to 1, so every noise draw
+	// would be 0 and the true histogram would be released.
+	for _, eps := range []float64{1e-17, 1e-310} {
+		for _, m := range []Method{MethodHc, MethodHg, MethodNaive, MethodHcL2} {
+			if est, err := ReleaseSingle(Histogram{0, 5, 3, 2}, m, Options{Epsilon: eps}); err == nil {
+				t.Errorf("%v at epsilon %g: released %v", m, eps, est)
+			}
+		}
+	}
 }
 
 func TestPublicOptionsDefaults(t *testing.T) {

@@ -87,8 +87,13 @@ func (o Options) methodFor(level int) estimator.Method {
 }
 
 func (o Options) validate(depth int) error {
-	if o.Epsilon <= 0 {
+	if !(o.Epsilon > 0) {
 		return fmt.Errorf("consistency: epsilon must be positive, got %g", o.Epsilon)
+	}
+	// Each level spends Epsilon/depth (the bottom-up baseline spends
+	// all of it per leaf, so this bound is the stricter one).
+	if err := estimator.CheckEpsilon(o.Epsilon / float64(depth)); err != nil {
+		return fmt.Errorf("consistency: epsilon %g split over %d levels: %w", o.Epsilon, depth, err)
 	}
 	if len(o.Methods) > 1 && len(o.Methods) != depth {
 		return fmt.Errorf("consistency: got %d methods for %d levels", len(o.Methods), depth)

@@ -148,6 +148,26 @@ func TestTopDownRejectsBadOptions(t *testing.T) {
 	if _, err := TopDown(tree, Options{Epsilon: 0, K: 10}); err == nil {
 		t.Error("epsilon 0 accepted")
 	}
+	// Budgets so small that the noise would round to zero must be
+	// refused by every release path, not released unperturbed.
+	for _, eps := range []float64{1e-17, 1e-310} {
+		opts := Options{Epsilon: eps, K: 10}
+		if _, err := TopDown(tree, opts); err == nil {
+			t.Errorf("TopDown accepted epsilon %g", eps)
+		}
+		if _, err := TopDownSparse(tree, opts); err == nil {
+			t.Errorf("TopDownSparse accepted epsilon %g", eps)
+		}
+		if _, err := BottomUpSparse(tree, opts); err == nil {
+			t.Errorf("BottomUpSparse accepted epsilon %g", eps)
+		}
+		if _, _, _, err := TopDownSparseFrom(tree, opts, nil, nil); err == nil {
+			t.Errorf("TopDownSparseFrom accepted epsilon %g", eps)
+		}
+		if _, err := PrivateGroupCounts(tree, eps, 1); err == nil {
+			t.Errorf("PrivateGroupCounts accepted epsilon %g", eps)
+		}
+	}
 	opts := defaultOpts(1)
 	opts.Methods = []estimator.Method{estimator.MethodHc, estimator.MethodHc, estimator.MethodHc}
 	if _, err := TopDown(tree, opts); err == nil {

@@ -28,8 +28,9 @@ type estimateJob struct {
 
 // estimateNodes runs one estimation function over every node of the
 // tree (lines 1-7 of Algorithm 1), fanning out across opts.Workers
-// goroutines. Each node's noise generator is seeded from (Seed, path),
-// so the result is independent of scheduling.
+// goroutines. Each node's noise stream is seeded from (Seed, path), so
+// the result is independent of scheduling; one must not retain the
+// generator it is handed.
 func estimateNodes[T any](tree *hierarchy.Tree, opts Options, one func(estimateJob, *noise.Gen) (T, error)) (map[string]T, error) {
 	var jobs []estimateJob
 	for level, nodes := range tree.ByLevel {
@@ -49,9 +50,12 @@ func estimateNodes[T any](tree *hierarchy.Tree, opts Options, one func(estimateJ
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// One generator per worker, reseeded per node: the same
+			// stream as a fresh noise.New, without a new source each.
+			gen := noise.New(0)
 			for i := range next {
 				j := jobs[i]
-				gen := noise.New(nodeSeed(opts.Seed, j.node.Path))
+				gen.Reseed(nodeSeed(opts.Seed, j.node.Path))
 				res, err := one(j, gen)
 				if err != nil {
 					errs[i] = fmt.Errorf("consistency: node %q: %w", j.node.Path, err)

@@ -27,11 +27,14 @@ import (
 // histograms are scaled accordingly; they satisfy count >= 0,
 // integrality, and parent = sum of children.
 func PrivateGroupCounts(tree *hierarchy.Tree, epsilon float64, seed int64) (map[string]int64, error) {
-	if epsilon <= 0 {
+	if !(epsilon > 0) {
 		return nil, fmt.Errorf("consistency: epsilon must be positive, got %g", epsilon)
 	}
 	depth := tree.Depth()
 	scale := float64(depth) / epsilon
+	if !noise.ScaleOK(scale) {
+		return nil, fmt.Errorf("consistency: epsilon %g is too small for %d levels: the noise would round to zero", epsilon, depth)
+	}
 
 	// Per-node noisy counts, seeded per path (order-independent).
 	noisy := make(map[string]float64)

@@ -2,6 +2,7 @@ package estimator
 
 import (
 	"fmt"
+	"sync"
 
 	"hcoc/internal/histogram"
 	"hcoc/internal/isotonic"
@@ -121,11 +122,26 @@ type Params struct {
 }
 
 func (p Params) validate() error {
-	if p.Epsilon <= 0 {
-		return fmt.Errorf("estimator: epsilon must be positive, got %g", p.Epsilon)
+	if err := CheckEpsilon(p.Epsilon); err != nil {
+		return err
 	}
 	if p.K < 1 {
 		return fmt.Errorf("estimator: K must be at least 1, got %d", p.K)
+	}
+	return nil
+}
+
+// CheckEpsilon returns an error unless epsilon is a usable per-node
+// budget: positive, and large enough that the widest noise scale any
+// method draws at (2/epsilon, the naive method's) still perturbs
+// (noise.ScaleOK). Below about 1e-16 the double-geometric noise would
+// round to zero and the exact data would be released.
+func CheckEpsilon(epsilon float64) error {
+	if !(epsilon > 0) {
+		return fmt.Errorf("estimator: epsilon must be positive, got %g", epsilon)
+	}
+	if !noise.ScaleOK(2 / epsilon) {
+		return fmt.Errorf("estimator: epsilon %g is too small: the noise would round to zero", epsilon)
 	}
 	return nil
 }
@@ -244,12 +260,17 @@ func estimateHgRuns(h histogram.Hist, g int64, p Params, gen *noise.Gen) []SizeR
 // noisy truncated cumulative histogram is accumulated cell by cell
 // straight into the float buffer (no dense Hist, Cumulative, or noisy
 // arrays), the L1 fit reuses that buffer, and the rounded cumulative is
-// scanned into runs without materializing it — for bound K that is 2
-// K-length allocations (plus the fit's internal scratch) instead of 6
-// and none of the per-group arrays.
+// scanned into runs without materializing it. The buffer comes from a
+// pool and the L1 fit's heap from isotonic's, so with L1 the only
+// allocation left is the runs themselves.
 func estimateHcRuns(h histogram.Hist, g int64, p Params, gen *noise.Gen, l1 bool) []SizeRun {
 	scale := 1 / p.Epsilon
-	ys := make([]float64, p.K) // cell K is pinned to G
+	bp := ysPool.Get().(*[]float64)
+	if cap(*bp) < p.K {
+		*bp = make([]float64, p.K)
+	}
+	ys := (*bp)[:p.K] // cell K is pinned to G; every cell is written below
+	defer ysPool.Put(bp)
 	var cum int64
 	for cell := 0; cell < p.K; cell++ {
 		if cell < len(h) {
@@ -358,6 +379,9 @@ func estimateHcCore(h histogram.Hist, g int64, p Params, gen *noise.Gen, l1 bool
 	est[len(est)-1] = g
 	return est
 }
+
+// ysPool recycles estimateHcRuns' K-length float buffers (*[]float64).
+var ysPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // maxFloat is a clamp upper bound meaning "no upper bound".
 const maxFloat = 1e308

@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -82,6 +83,21 @@ func TestEstimateRejectsBadParams(t *testing.T) {
 	}
 	if _, err := Estimate(MethodHc, h, Params{Epsilon: 1, K: 0}, gen); err == nil {
 		t.Error("K 0 accepted")
+	}
+	// At these budgets exp(-1/scale) rounds to 1: every draw would be 0
+	// and the estimate would be the true histogram.
+	for _, eps := range []float64{1e-17, 1e-310, math.NaN()} {
+		for _, m := range allMethods {
+			if res, err := Estimate(m, h, Params{Epsilon: eps, K: 10}, gen); err == nil {
+				t.Errorf("%v at epsilon %g: released %v", m, eps, res.Hist)
+			}
+			if _, err := EstimateRuns(m, h, Params{Epsilon: eps, K: 10}, gen); err == nil {
+				t.Errorf("%v at epsilon %g: EstimateRuns accepted", m, eps)
+			}
+		}
+	}
+	if _, err := Estimate(MethodHc, h, Params{Epsilon: 1e-15, K: 10}, gen); err != nil {
+		t.Errorf("epsilon 1e-15: %v", err)
 	}
 	if _, err := Estimate(Method(99), h, defaultParams(), gen); err == nil {
 		t.Error("unknown method accepted")

@@ -23,8 +23,12 @@ import (
 // choice; callers should account the epsilon spent here on top of the
 // release budget.
 func ChooseMethod(h histogram.Hist, epsilon float64, gen *noise.Gen) (Method, error) {
-	if epsilon <= 0 {
+	if !(epsilon > 0) {
 		return 0, fmt.Errorf("estimator: epsilon must be positive, got %g", epsilon)
+	}
+	// Each noisy count spends epsilon/2.
+	if err := CheckEpsilon(epsilon / 2); err != nil {
+		return 0, err
 	}
 	distinct := float64(h.DistinctSizes()) + float64(gen.DoubleGeometric(2/(epsilon/2)))
 	maxSize := float64(h.MaxSize()) + float64(gen.DoubleGeometric(1/(epsilon/2)))

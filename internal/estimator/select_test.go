@@ -42,8 +42,10 @@ func TestChooseMethodOnPaperWorkloads(t *testing.T) {
 
 func TestChooseMethodEdgeCases(t *testing.T) {
 	gen := noise.New(1)
-	if _, err := ChooseMethod(nil, 0, gen); err == nil {
-		t.Error("epsilon 0 accepted")
+	for _, eps := range []float64{0, 1e-17, 1e-310} {
+		if _, err := ChooseMethod(nil, eps, gen); err == nil {
+			t.Errorf("epsilon %g accepted", eps)
+		}
 	}
 	// Empty data must still return a valid method, not crash.
 	m, err := ChooseMethod(nil, 1, gen)

@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// FuzzFitMonotone checks on arbitrary inputs that both solvers return
-// monotone outputs of the right length with no-worse-than-input cost.
+// FuzzFitMonotone checks on arbitrary inputs that the solvers return
+// monotone outputs of the right length, that the two L1 solvers agree
+// on cost, and that FitL1 matches the push/pop/push oracle exactly.
 func FuzzFitMonotone(f *testing.F) {
 	f.Add(1.0, 2.0, 3.0, 4.0)
 	f.Add(4.0, 3.0, 2.0, 1.0)
@@ -30,6 +31,7 @@ func FuzzFitMonotone(f *testing.F) {
 				t.Fatalf("%s: not monotone: %v -> %v", name, ys, z)
 			}
 		}
+		assertFitsEqual(t, "FitL1 vs oracle", ys, FitL1(ys), fitL1Oracle(ys))
 		// The two L1 solvers must agree on cost.
 		c1 := CostL1(ys, FitL1(ys))
 		c2 := CostL1(ys, FitL1PAV(ys))

@@ -1,5 +1,7 @@
 package isotonic
 
+import "sync"
+
 // FitL2 returns the non-decreasing sequence minimizing sum (z_i - y_i)^2
 // using pool-adjacent-violators in O(n). Within each pooled block the
 // fitted value is the block mean.
@@ -61,55 +63,44 @@ func FitL2Weighted(ys, ws []float64) []float64 {
 // paper relies on when it notes the L1 version "mostly returns
 // integers").
 func FitL1(ys []float64) []float64 {
-	n := len(ys)
-	if n == 0 {
+	if len(ys) == 0 {
 		return nil
 	}
-	h := make(maxHeap, 0, n)
-	tops := make([]float64, n)
-	for i, y := range ys {
-		h.push(y)
-		if h[0] > y {
-			h.pop()
-			h.push(y)
-		}
-		tops[i] = h[0]
-	}
-	out := make([]float64, n)
-	run := tops[n-1]
-	for i := n - 1; i >= 0; i-- {
-		if tops[i] < run {
-			run = tops[i]
-		}
-		out[i] = run
-	}
-	return out
+	return FitL1InPlace(append([]float64(nil), ys...))
 }
 
 // FitL1InPlace is FitL1 writing the fit into ys (which it destroys and
-// returns): the backward minimum scan reads only the recorded heap
-// tops, so the input buffer can receive the output. Exactly the same
-// sequence of float operations as FitL1 — callers that only need the
-// fit save one n-length allocation.
+// returns). Step i reads ys[i] and then records the heap top in its
+// place, and the backward minimum scan reads only those tops, so the
+// input buffer holds the output. The heap comes from a pool, so a
+// caller that owns ys fits without allocating.
 func FitL1InPlace(ys []float64) []float64 {
 	n := len(ys)
 	if n == 0 {
 		return ys
 	}
-	h := make(maxHeap, 0, n)
-	tops := make([]float64, n)
-	for i, y := range ys {
-		h.push(y)
-		if h[0] > y {
-			h.pop()
-			h.push(y)
-		}
-		tops[i] = h[0]
+	hp := heapPool.Get().(*[]float64)
+	if cap(*hp) < n {
+		*hp = make([]float64, 0, n)
 	}
-	run := tops[n-1]
+	h := (*hp)[:0]
+	for i, y := range ys {
+		// One step of the slope trick: add two breakpoints at y and
+		// drop the largest. When the top exceeds y that is the top
+		// itself, replaced by y; otherwise it is one of the new ys.
+		if len(h) > 0 && h[0] > y {
+			replaceTop(h, y)
+		}
+		h = push(h, y)
+		ys[i] = h[0]
+	}
+	*hp = h
+	heapPool.Put(hp)
+
+	run := ys[n-1]
 	for i := n - 1; i >= 0; i-- {
-		if tops[i] < run {
-			run = tops[i]
+		if ys[i] < run {
+			run = ys[i]
 		}
 		ys[i] = run
 	}
@@ -193,43 +184,47 @@ func IsMonotone(zs []float64) bool {
 	return true
 }
 
-// maxHeap is a simple float64 max-heap (avoiding container/heap's
-// interface boxing on this hot path).
-type maxHeap []float64
+// heapPool recycles FitL1InPlace's max-heap buffers (*[]float64);
+// a buffer too small for the current fit is replaced by a larger one.
+var heapPool = sync.Pool{New: func() any { return new([]float64) }}
 
-func (h *maxHeap) push(x float64) {
-	*h = append(*h, x)
-	i := len(*h) - 1
+// The breakpoint heap is a plain []float64 max-heap (no
+// container/heap interface boxing on this hot path). Both sifts move a
+// hole and write the sifted value once.
+
+// push appends x to the max-heap h and sifts it up.
+func push(h []float64, x float64) []float64 {
+	h = append(h, x)
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if (*h)[parent] >= (*h)[i] {
+		if h[parent] >= x {
 			break
 		}
-		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = x
+	return h
 }
 
-func (h *maxHeap) pop() float64 {
-	top := (*h)[0]
-	last := len(*h) - 1
-	(*h)[0] = (*h)[last]
-	*h = (*h)[:last]
+// replaceTop overwrites the top of the non-empty max-heap h with x and
+// sifts it down.
+func replaceTop(h []float64, x float64) {
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < len(*h) && (*h)[l] > (*h)[largest] {
-			largest = l
-		}
-		if r < len(*h) && (*h)[r] > (*h)[largest] {
-			largest = r
-		}
-		if largest == i {
+		c := 2*i + 1
+		if c >= len(h) {
 			break
 		}
-		(*h)[i], (*h)[largest] = (*h)[largest], (*h)[i]
-		i = largest
+		if r := c + 1; r < len(h) && h[r] > h[c] {
+			c = r
+		}
+		if h[c] <= x {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	return top
+	h[i] = x
 }

@@ -4,5 +4,7 @@
 // non-private "omniscient" baseline in the evaluation).
 //
 // All samplers draw from an explicit *rand.Rand so that experiments are
-// reproducible under a fixed seed.
+// reproducible under a fixed seed. The double-geometric sampler refuses
+// a scale so large that its noise would round to zero (ScaleOK), since
+// that would release the input exactly.
 package noise

@@ -9,21 +9,42 @@ import (
 // paper. A Gen is not safe for concurrent use; create one per goroutine.
 type Gen struct {
 	r *rand.Rand
+	// scale, alpha and logAlpha cache the double-geometric constants
+	// alpha = exp(-1/scale) and log(alpha) for the last scale
+	// DoubleGeometric saw; callers draw whole vectors at one scale.
+	// scale is NaN until the first draw, so the first call always
+	// validates.
+	scale, alpha, logAlpha float64
 }
 
 // New returns a generator seeded with the given seed.
 func New(seed int64) *Gen {
-	return &Gen{r: rand.New(rand.NewSource(seed))}
+	return NewFrom(rand.New(rand.NewSource(seed)))
 }
 
 // NewFrom returns a generator that draws from an existing *rand.Rand.
 func NewFrom(r *rand.Rand) *Gen {
-	return &Gen{r: r}
+	return &Gen{r: r, scale: math.NaN()}
+}
+
+// Reseed restarts the generator's stream at seed: afterwards it draws
+// exactly what New(seed) would, without allocating a new source. On a
+// Gen built by NewFrom it reseeds the caller's *rand.Rand.
+func (g *Gen) Reseed(seed int64) {
+	g.r.Seed(seed) // also resets the Rand's buffered Int63 bits
 }
 
 // Rand exposes the underlying random source, for callers that need
 // auxiliary randomness (e.g. tie-breaking) tied to the same seed.
 func (g *Gen) Rand() *rand.Rand { return g.r }
+
+// ScaleOK reports whether DoubleGeometric accepts scale: positive and
+// small enough that alpha = exp(-1/scale) stays below 1. Past about
+// 1.8e16, and at +Inf, alpha rounds to 1, log(alpha) is 0 and every
+// draw would come out 0 — the input would be released unperturbed.
+func ScaleOK(scale float64) bool {
+	return scale > 0 && math.Exp(-1/scale) < 1
+}
 
 // DoubleGeometric samples integer noise from the double-geometric
 // distribution with the given scale (scale = sensitivity/epsilon):
@@ -32,25 +53,29 @@ func (g *Gen) Rand() *rand.Rand { return g.r }
 //
 // This is the distribution of Definition 3 in the paper. It is sampled
 // as the difference of two independent geometric variates, which keeps
-// the output exactly integral.
+// the output exactly integral. Each geometric variate is
+// floor(log(U)/log(a)) by inversion, U in (0, 1] — the number of
+// failures before the first success of a Bernoulli(1-a) process. When
+// a underflows to 0 (a tiny scale) both variates are 0 and no uniform
+// is drawn. It panics unless ScaleOK(scale).
 func (g *Gen) DoubleGeometric(scale float64) int64 {
-	if scale <= 0 {
-		panic("noise: scale must be positive")
+	if scale != g.scale {
+		g.setScale(scale)
 	}
-	alpha := math.Exp(-1 / scale)
-	return g.geometric(alpha) - g.geometric(alpha)
-}
-
-// geometric samples the number of failures before the first success of a
-// Bernoulli(1-alpha) process, i.e. P(G = k) = (1-alpha) * alpha^k for
-// k = 0, 1, 2, ... via inversion.
-func (g *Gen) geometric(alpha float64) int64 {
-	if alpha <= 0 {
+	if g.alpha <= 0 {
 		return 0
 	}
-	// U in (0,1); floor(log(U)/log(alpha)) is Geometric(1-alpha).
-	u := 1 - g.r.Float64() // in (0, 1]
-	return int64(math.Floor(math.Log(u) / math.Log(alpha)))
+	pos := int64(math.Floor(math.Log(1-g.r.Float64()) / g.logAlpha))
+	return pos - int64(math.Floor(math.Log(1-g.r.Float64())/g.logAlpha))
+}
+
+// setScale validates scale and caches its sampler constants.
+func (g *Gen) setScale(scale float64) {
+	if !ScaleOK(scale) {
+		panic("noise: scale must be positive, with exp(-1/scale) < 1")
+	}
+	alpha := math.Exp(-1 / scale)
+	g.scale, g.alpha, g.logAlpha = scale, alpha, math.Log(alpha)
 }
 
 // Laplace samples real-valued noise from the Laplace distribution with

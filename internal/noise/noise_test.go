@@ -114,20 +114,42 @@ func TestDeterministicUnderSeed(t *testing.T) {
 	}
 }
 
+// TestPanicsOnBadScale also pins the privacy guard: a scale at which
+// exp(-1/scale) rounds to 1 would make every double-geometric draw 0 and
+// release the input exactly, so it must panic like a non-positive one,
+// also after another scale has been cached.
 func TestPanicsOnBadScale(t *testing.T) {
 	g := New(1)
-	for _, f := range []func(){
-		func() { g.DoubleGeometric(0) },
-		func() { g.Laplace(-1) },
-	} {
+	g.DoubleGeometric(2)
+	fs := []func(){func() { g.Laplace(-1) }}
+	for _, scale := range []float64{0, -1, 1e17, 1e300, math.Inf(1), math.NaN()} {
+		if ScaleOK(scale) {
+			t.Errorf("ScaleOK(%g) = true", scale)
+		}
+		fs = append(fs, func() { g.DoubleGeometric(scale) })
+	}
+	for i, f := range fs {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("non-positive scale accepted")
+					t.Errorf("bad scale %d accepted", i)
 				}
 			}()
 			f()
 		}()
+	}
+	// The largest scales that still perturb: draws are nonzero.
+	for _, scale := range []float64{1e15, 1e16} {
+		if !ScaleOK(scale) {
+			t.Fatalf("ScaleOK(%g) = false", scale)
+		}
+		nonzero := false
+		for i := 0; i < 10; i++ {
+			nonzero = nonzero || g.DoubleGeometric(scale) != 0
+		}
+		if !nonzero {
+			t.Errorf("scale %g: ten zero draws", scale)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 
 	"hcoc"
 	"hcoc/internal/engine"
+	"hcoc/internal/estimator"
 	"hcoc/internal/eventlog"
 	"hcoc/internal/privacy"
 	"hcoc/internal/store"
@@ -907,8 +908,14 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Epsilon <= 0 {
+	if !(req.Epsilon > 0) {
 		WriteError(w, http.StatusBadRequest, "epsilon must be positive, got %g", req.Epsilon)
+		return
+	}
+	// The release splits epsilon over the levels; refuse a budget so
+	// small that a level's noise would round to zero.
+	if err := estimator.CheckEpsilon(req.Epsilon / float64(tree.Depth())); err != nil {
+		WriteError(w, http.StatusBadRequest, "epsilon %g split over %d levels: %v", req.Epsilon, tree.Depth(), err)
 		return
 	}
 	if req.K < 0 {

@@ -291,6 +291,13 @@ func TestServeErrors(t *testing.T) {
 		{"bad epsilon", func() (int, string) {
 			return postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 0}, nil)
 		}, http.StatusBadRequest},
+		{"vanishing epsilon", func() (int, string) {
+			// Split over the levels, 3e-17 leaves noise that rounds to zero.
+			return postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 3e-17}, nil)
+		}, http.StatusBadRequest},
+		{"subnormal epsilon", func() (int, string) {
+			return postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1e-310}, nil)
+		}, http.StatusBadRequest},
 		{"negative k", func() (int, string) {
 			return postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: -1}, nil)
 		}, http.StatusBadRequest},
